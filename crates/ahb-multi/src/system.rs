@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use ahb_lt::{LtConfig, LtSystem};
 use ahb_tlm::{TlmConfig, TlmSystem};
-use amba::bridge::{BridgePort, CrossingLeg, ReplayStats, ShardMap, WindowMap};
+use amba::bridge::{BridgePort, CrossingLeg, ReplayStats, WindowMap};
 use amba::ids::MasterId;
 use amba::txn::{Transaction, TransactionId};
 use analysis::model::{BusModel, Probe, SyncStats};
@@ -419,7 +419,6 @@ impl MultiSystem {
                             params,
                             ddr,
                             max_cycles: config.max_cycles,
-                            profiling: true,
                         };
                         ShardEngine::Tlm(TlmSystem::with_bridge(tlm, masters, port))
                     }
@@ -989,7 +988,7 @@ pub fn partition_by_window(
     window_shift: u32,
 ) -> Vec<TrafficPattern> {
     assert!(shards >= 1, "a platform needs at least one shard");
-    let map = ShardMap::new(window_shift, shards as u8);
+    let map = WindowMap::interleaved(window_shift, shards as u8);
     let mut parts: Vec<TrafficPattern> = (0..shards)
         .map(|_| TrafficPattern {
             name: pattern.name,

@@ -861,8 +861,8 @@ mod tests {
     fn drained_system_is_quiescent_with_no_wakeup() {
         // Clocked contract: a finished platform's eval/commit are no-ops
         // forever, so it must report quiescent with wake_at = None (not
-        // "never quiescent") — otherwise it would pin a ClockEngine's
-        // all-components-quiescent fast-forward for the rest of the run.
+        // "never quiescent") — otherwise a run loop composing it with other
+        // components could never fast-forward past it again.
         let mut system = small_system(5);
         system.run();
         assert!(system.is_finished());

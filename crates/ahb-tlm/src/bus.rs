@@ -578,20 +578,18 @@ impl TlmSystem {
             parked.txn.bytes(),
             FLAG_REMOTE,
         );
-        if self.config.profiling {
-            let completion = Completion {
-                id,
-                master: parked.txn.master,
-                response: HResp::Okay,
-                granted_at: parked.granted_at,
-                completed_at: arrival,
-                issued_at: parked.requested_at,
-                bytes: parked.txn.bytes(),
-                via_write_buffer: false,
-            };
-            self.recorder
-                .record_completion(&completion, parked.txn.beats());
-        }
+        let completion = Completion {
+            id,
+            master: parked.txn.master,
+            response: HResp::Okay,
+            granted_at: parked.granted_at,
+            completed_at: arrival,
+            issued_at: parked.requested_at,
+            bytes: parked.txn.bytes(),
+            via_write_buffer: false,
+        };
+        self.recorder
+            .record_completion(&completion, parked.txn.beats());
         self.last_completion = self.last_completion.max(arrival);
         let master = &mut self.masters[parked.position];
         master.complete_current(arrival);
@@ -646,8 +644,7 @@ impl TlmSystem {
     }
 
     /// Snapshot of the observable state at the current time (the uniform
-    /// surface behind [`BusModel::probe`]). With profiling detached the
-    /// recorder-backed counters stay zero.
+    /// surface behind [`BusModel::probe`]).
     #[must_use]
     pub fn probe(&self) -> Probe {
         let dram = self.ddr.stats();
@@ -838,32 +835,29 @@ impl TlmSystem {
             "transaction completed before its address phase",
         );
 
-        // Profiling (paper §3.6) — skipped entirely when the profiling
-        // features are detached.
-        if self.config.profiling {
-            let bus_occupied = completed_at.saturating_since(addr_phase);
-            self.recorder.add_busy_cycles(bus_occupied.value());
-            let others_waiting = self.pending.iter().any(|p| p.master != winner);
-            if others_waiting {
-                self.recorder.add_contention_cycles(bus_occupied.value());
-            }
-            self.recorder
-                .observe_write_buffer_fill(self.write_buffer.fill());
-            // A stalled read is not complete yet: its metrics are recorded
-            // by `inject_response` with the full round-trip latency.
-            if !stalling_read {
-                let completion = Completion {
-                    id: txn.id,
-                    master: txn.master,
-                    response: HResp::Okay,
-                    granted_at: addr_phase,
-                    completed_at,
-                    issued_at: requested_at,
-                    bytes: txn.bytes(),
-                    via_write_buffer,
-                };
-                self.recorder.record_completion(&completion, txn.beats());
-            }
+        // Profiling (paper §3.6).
+        let bus_occupied = completed_at.saturating_since(addr_phase);
+        self.recorder.add_busy_cycles(bus_occupied.value());
+        let others_waiting = self.pending.iter().any(|p| p.master != winner);
+        if others_waiting {
+            self.recorder.add_contention_cycles(bus_occupied.value());
+        }
+        self.recorder
+            .observe_write_buffer_fill(self.write_buffer.fill());
+        // A stalled read is not complete yet: its metrics are recorded by
+        // `inject_response` with the full round-trip latency.
+        if !stalling_read {
+            let completion = Completion {
+                id: txn.id,
+                master: txn.master,
+                response: HResp::Okay,
+                granted_at: addr_phase,
+                completed_at,
+                issued_at: requested_at,
+                bytes: txn.bytes(),
+                via_write_buffer,
+            };
+            self.recorder.record_completion(&completion, txn.beats());
         }
         if !stalling_read {
             self.last_completion = self.last_completion.max(completed_at);
@@ -1151,10 +1145,8 @@ impl TlmSystem {
                 break;
             }
         }
-        if self.config.profiling {
-            self.recorder
-                .observe_write_buffer_fill(self.write_buffer.fill());
-        }
+        self.recorder
+            .observe_write_buffer_fill(self.write_buffer.fill());
     }
 }
 

@@ -13,12 +13,6 @@ pub struct TlmConfig {
     /// Hard simulation length limit in bus cycles. The run also stops as
     /// soon as every master has drained its trace.
     pub max_cycles: u64,
-    /// Whether the §3.6 profiling features are attached. Detaching them
-    /// (paper: "they can be easily attached to or detached from the
-    /// models") skips all per-transaction metric accounting; the report
-    /// then carries totals only. Used by the speed harness to measure the
-    /// pure simulation engine.
-    pub profiling: bool,
 }
 
 impl TlmConfig {
@@ -30,7 +24,6 @@ impl TlmConfig {
             params: AhbPlusParams::ahb_plus(),
             ddr: DdrConfig::ahb_plus(),
             max_cycles: 5_000_000,
-            profiling: true,
         }
     }
 
@@ -41,7 +34,6 @@ impl TlmConfig {
             params: AhbPlusParams::plain_ahb(),
             ddr: DdrConfig::without_interleaving(),
             max_cycles: 5_000_000,
-            profiling: true,
         }
     }
 
@@ -56,13 +48,6 @@ impl TlmConfig {
     #[must_use]
     pub fn with_max_cycles(mut self, max_cycles: u64) -> Self {
         self.max_cycles = max_cycles;
-        self
-    }
-
-    /// Returns a copy with the profiling features attached or detached.
-    #[must_use]
-    pub fn with_profiling(mut self, profiling: bool) -> Self {
-        self.profiling = profiling;
         self
     }
 }

@@ -118,32 +118,6 @@ impl AccessPermission {
     }
 }
 
-/// The messages that travel across the Bus Interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BiMessage {
-    /// Arbiter → DDRC: the next transaction that will be issued.
-    NextTransaction(NextTransactionInfo),
-    /// DDRC → arbiter: which banks are ready.
-    BankStatus(BankHint),
-    /// DDRC → arbiter: whether a new transaction may start.
-    Permission(AccessPermission),
-}
-
-impl fmt::Display for BiMessage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BiMessage::NextTransaction(info) => write!(f, "{info}"),
-            BiMessage::BankStatus(hint) => {
-                write!(f, "banks ready: {:#06b}", hint.ready_banks)
-            }
-            BiMessage::Permission(p) => match p {
-                AccessPermission::Granted => write!(f, "access granted"),
-                AccessPermission::Deferred(c) => write!(f, "access deferred {c} cycles"),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,25 +147,5 @@ mod tests {
         let d = AccessPermission::Deferred(12);
         assert!(!d.is_granted());
         assert_eq!(d.defer_cycles(), 12);
-    }
-
-    #[test]
-    fn messages_display() {
-        let info = NextTransactionInfo {
-            master: MasterId::new(2),
-            addr: Addr::new(0x2000_0040),
-            direction: TransferDirection::Read,
-            beats: 8,
-            size: HSize::Word,
-        };
-        let text = BiMessage::NextTransaction(info).to_string();
-        assert!(text.contains("M2"));
-        assert!(text.contains("x8"));
-        assert!(BiMessage::Permission(AccessPermission::Deferred(3))
-            .to_string()
-            .contains("deferred 3"));
-        assert!(BiMessage::BankStatus(BankHint::new(4, 0b0101))
-            .to_string()
-            .contains("0b0101"));
     }
 }

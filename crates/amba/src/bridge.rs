@@ -5,8 +5,8 @@
 //! shard's window leaves the shard through the bridge's slave port and is
 //! later replayed on the owning shard by that shard's bridge master port.
 //! [`WindowMap`] is the window decode both sides agree on — interleaved
-//! round-robin ownership ([`ShardMap`], the classic layout) or an explicit
-//! per-window owner table for non-uniform platforms; [`BridgeCrossing`] is
+//! round-robin ownership (the classic layout) or an explicit per-window
+//! owner table for non-uniform platforms; [`BridgeCrossing`] is
 //! the record a shard's bridge emits when a transaction (or a read
 //! response) leaves the shard, with [`CrossingLeg`] saying which leg of
 //! the protocol it is; [`ReplayStats`] counts the work a shard's bridge
@@ -34,51 +34,6 @@ use crate::ids::Addr;
 use crate::txn::Transaction;
 use simkern::time::Cycle;
 
-/// The interleaved shard-window decode of a multi-bus platform.
-///
-/// The address space is divided into `1 << window_shift`-byte windows and
-/// window `w` is owned by shard `w % shards`. This is the uniform special
-/// case of [`WindowMap`]; keep using it where the interleave is all a
-/// platform needs — it is `Copy` and two machine operations per decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMap {
-    /// Log2 of the window size in bytes.
-    pub window_shift: u32,
-    /// Number of bus shards the windows are interleaved over.
-    pub shards: u8,
-}
-
-impl ShardMap {
-    /// Creates a map over `shards` shards with `1 << window_shift`-byte
-    /// windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shards` is zero or the shift leaves no windows.
-    #[must_use]
-    pub fn new(window_shift: u32, shards: u8) -> Self {
-        assert!(shards >= 1, "a platform needs at least one shard");
-        assert!(window_shift < 32, "window shift must leave windows");
-        ShardMap {
-            window_shift,
-            shards,
-        }
-    }
-
-    /// The shard owning `addr`.
-    #[must_use]
-    pub fn owner(&self, addr: Addr) -> u8 {
-        ((addr.value() >> self.window_shift) % u32::from(self.shards)) as u8
-    }
-
-    /// Whether `addr` lies outside the window set of shard `own` (and a
-    /// transaction to it must cross the bridge).
-    #[must_use]
-    pub fn is_remote(&self, addr: Addr, own: u8) -> bool {
-        self.owner(addr) != own
-    }
-}
-
 /// Smallest explicit-table window shift [`WindowMap::explicit`] accepts:
 /// the owner table covers the whole 32-bit address space, so the shift
 /// bounds its size (`1 << (32 - shift)` entries; shift 16 → 65536).
@@ -103,18 +58,20 @@ pub struct WindowMap {
 }
 
 impl WindowMap {
-    /// The interleaved map: window `w` is owned by shard `w % shards`
-    /// (exactly [`ShardMap`] semantics).
+    /// The interleaved map: the address space is divided into
+    /// `1 << window_shift`-byte windows and window `w` is owned by shard
+    /// `w % shards`.
     ///
     /// # Panics
     ///
     /// Panics when `shards` is zero or the shift leaves no windows.
     #[must_use]
     pub fn interleaved(window_shift: u32, shards: u8) -> Self {
-        let map = ShardMap::new(window_shift, shards);
+        assert!(shards >= 1, "a platform needs at least one shard");
+        assert!(window_shift < 32, "window shift must leave windows");
         WindowMap {
-            window_shift: map.window_shift,
-            shards: map.shards,
+            window_shift,
+            shards,
             owners: None,
         }
     }
@@ -189,12 +146,6 @@ impl WindowMap {
     #[inline]
     pub fn is_remote(&self, addr: Addr, own: u8) -> bool {
         self.owner(addr) != own
-    }
-}
-
-impl From<ShardMap> for WindowMap {
-    fn from(map: ShardMap) -> Self {
-        WindowMap::interleaved(map.window_shift, map.shards)
     }
 }
 
@@ -362,7 +313,7 @@ mod tests {
 
     #[test]
     fn windows_interleave_over_the_shards() {
-        let map = ShardMap::new(24, 4);
+        let map = WindowMap::interleaved(24, 4);
         assert_eq!(map.owner(Addr::new(0x0000_0000)), 0);
         assert_eq!(map.owner(Addr::new(0x0100_0000)), 1);
         assert_eq!(map.owner(Addr::new(0x0200_0000)), 2);
@@ -374,7 +325,7 @@ mod tests {
 
     #[test]
     fn single_shard_map_owns_everything() {
-        let map = ShardMap::new(24, 1);
+        let map = WindowMap::interleaved(24, 1);
         for addr in [0u32, 0x2000_0000, 0xFFFF_FFFF] {
             assert_eq!(map.owner(Addr::new(addr)), 0);
             assert!(!map.is_remote(Addr::new(addr), 0));
@@ -384,21 +335,29 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panic() {
-        let _ = ShardMap::new(24, 0);
+        let _ = WindowMap::interleaved(24, 0);
     }
 
+    /// "The shard map" is the classic interleave: shard
+    /// `(addr >> shift) % shards` owns `addr`.
     #[test]
     fn window_map_interleaved_matches_the_shard_map() {
-        let shard_map = ShardMap::new(24, 4);
-        let window_map = WindowMap::from(shard_map);
+        let window_map = WindowMap::interleaved(24, 4);
         assert!(window_map.is_interleaved());
         assert_eq!(window_map.shards(), 4);
         assert_eq!(window_map.window_shift(), 24);
-        for addr in [0u32, 0x0100_0000, 0x1234_5678, 0xFFFF_FFFF] {
-            let addr = Addr::new(addr);
-            assert_eq!(window_map.owner(addr), shard_map.owner(addr));
-            assert_eq!(window_map.is_remote(addr, 2), shard_map.is_remote(addr, 2));
+        for raw in [0u32, 0x0100_0000, 0x1234_5678, 0xFFFF_FFFF] {
+            let addr = Addr::new(raw);
+            let owner = ((raw >> 24) % 4) as u8;
+            assert_eq!(window_map.owner(addr), owner);
+            assert_eq!(window_map.is_remote(addr, 2), owner != 2);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "window shift must leave windows")]
+    fn interleaved_window_map_rejects_a_shift_without_windows() {
+        let _ = WindowMap::interleaved(32, 2);
     }
 
     #[test]

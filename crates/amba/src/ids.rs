@@ -1,4 +1,4 @@
-//! Strongly-typed identifiers: masters, slaves and bus addresses.
+//! Strongly-typed identifiers: masters and bus addresses.
 
 use std::fmt;
 
@@ -32,36 +32,6 @@ impl fmt::Display for MasterId {
 impl From<u8> for MasterId {
     fn from(value: u8) -> Self {
         MasterId(value)
-    }
-}
-
-/// Identifier of a bus slave (memory controller, SRAM, peripheral block).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SlaveId(u8);
-
-impl SlaveId {
-    /// Creates a slave identifier.
-    #[must_use]
-    pub const fn new(index: u8) -> Self {
-        SlaveId(index)
-    }
-
-    /// Raw index of the slave.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for SlaveId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "S{}", self.0)
-    }
-}
-
-impl From<u8> for SlaveId {
-    fn from(value: u8) -> Self {
-        SlaveId(value)
     }
 }
 
@@ -147,11 +117,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn master_and_slave_ids_display() {
+    fn master_ids_display() {
         assert_eq!(MasterId::new(3).to_string(), "M3");
-        assert_eq!(SlaveId::new(1).to_string(), "S1");
         assert_eq!(MasterId::from(2).index(), 2);
-        assert_eq!(SlaveId::from(7).index(), 7);
     }
 
     #[test]

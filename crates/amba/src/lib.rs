@@ -4,7 +4,7 @@
 //! reference in `ahb-rtl` and the transaction-level model in `ahb-tlm`)
 //! agree on:
 //!
-//! * [`ids`] — strongly-typed master/slave identifiers and addresses.
+//! * [`ids`] — strongly-typed master identifiers and addresses.
 //! * [`signal`] — the AMBA 2.0 AHB signal encodings (`HTRANS`, `HBURST`,
 //!   `HSIZE`, `HRESP`, ...) exactly as the specification defines them, with
 //!   conversions to and from their bit patterns.
@@ -23,7 +23,6 @@
 //! * [`bi`] — the Bus Interface (BI) message types carrying next-transaction
 //!   information, idle-bank status and access permission between arbiter
 //!   and DDR controller (paper §2, §3.4).
-//! * [`memmap`] — the address decoder / memory map.
 //! * [`bridge`] — the AHB-to-AHB bridge vocabulary of multi-bus platforms:
 //!   the interleaved shard-window decode and the crossing records a bridge
 //!   slave emits and a bridge master replays.
@@ -71,19 +70,17 @@ pub mod bridge;
 pub mod burst;
 pub mod check;
 pub mod ids;
-pub mod memmap;
 pub mod params;
 pub mod qos;
 pub mod signal;
 pub mod txn;
 
 pub use arbitration::{ArbiterConfig, ArbitrationFilter, ArbitrationPolicy, RequestView};
-pub use bi::{AccessPermission, BankHint, BiMessage, NextTransactionInfo};
-pub use bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats, ShardMap, WindowMap};
+pub use bi::{AccessPermission, BankHint, NextTransactionInfo};
+pub use bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats, WindowMap};
 pub use burst::{BurstKind, BurstSequence};
 pub use check::ProtocolChecker;
-pub use ids::{Addr, MasterId, SlaveId};
-pub use memmap::{MemoryMap, Region};
+pub use ids::{Addr, MasterId};
 pub use params::AhbPlusParams;
 pub use qos::{MasterClass, QosConfig, QosRegisterFile};
 pub use signal::{HBurst, HResp, HSize, HTrans};

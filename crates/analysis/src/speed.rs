@@ -108,8 +108,6 @@ pub mod model_names {
     pub const TLM: &str = "tlm";
     /// The transaction-level model restricted to a single master.
     pub const TLM_SINGLE_MASTER: &str = "tlm-single-master";
-    /// The transaction-level model with §3.6 profiling detached.
-    pub const TLM_DETACHED: &str = "tlm-detached";
     /// The loosely-timed model.
     pub const LT: &str = "lt";
     /// The transaction-level model scaled to 32 masters.
@@ -256,12 +254,6 @@ impl SpeedBenchRecord {
             speed
                 .tlm_single_master_kcycles_per_sec
                 .map_or_else(|| "null".to_owned(), json_f64)
-        );
-        let _ = writeln!(
-            out,
-            "  \"tlm_detached_kcycles_per_sec\": {},",
-            self.model(model_names::TLM_DETACHED)
-                .map_or_else(|| "null".to_owned(), |m| json_f64(m.kcycles_per_sec))
         );
         let _ = writeln!(
             out,
@@ -446,7 +438,6 @@ mod tests {
                 measurement(model_names::RTL, 123_456, 250.5),
                 measurement(model_names::TLM, 123_400, 60_000.0),
                 measurement(model_names::TLM_SINGLE_MASTER, 60_000, 90_000.0),
-                measurement(model_names::TLM_DETACHED, 123_400, 70_000.0),
             ],
         };
         let json = record.to_json();
@@ -455,7 +446,6 @@ mod tests {
         // v1-compatible flat keys are derived from the model list.
         assert!(json.contains("\"rtl_cycles\": 123456"));
         assert!(json.contains("\"tlm_kcycles_per_sec\": 60000"));
-        assert!(json.contains("\"tlm_detached_kcycles_per_sec\": 70000"));
         assert!(json.contains("\"paper_reference\""));
         assert!(json.contains("\"speedup\""));
         // v2 per-model array carries every measured configuration by name.

@@ -1,272 +1,14 @@
-//! Micro-benchmarks of the simulation substrate: the event queue and the
-//! two-step cycle engine that everything else is built on, plus the DDR
-//! controller's per-access cost. These quantify why the transaction-level
-//! model is fast (a handful of controller calls per transaction) and why the
-//! pin-accurate model is slow (every signal committed every cycle).
+//! Micro-benchmarks of the transaction-level hot path's building blocks:
+//! pooled versus cloned transaction flow through an arbiter-shaped
+//! consumer, and the DDR controller's per-access cost. These quantify why
+//! the transaction-level model is fast (no per-transaction allocation, a
+//! handful of controller calls per transaction).
 
 use amba::ids::Addr;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ddrc::{DdrConfig, DdrController};
-use simkern::component::Clocked;
-use simkern::engine::ClockEngine;
-use simkern::event::EventQueue;
-use simkern::rng::SimRng;
-use simkern::signal::Register;
-use simkern::time::{Cycle, CycleDelta};
+use simkern::time::Cycle;
 use std::hint::black_box;
-
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("kernel/event_queue_schedule_pop_1k", |b| {
-        b.iter(|| {
-            let mut queue = EventQueue::new();
-            for i in 0..1_000u64 {
-                queue.schedule(Cycle::new((i * 7) % 997), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, payload)) = queue.pop() {
-                sum = sum.wrapping_add(payload);
-            }
-            black_box(sum)
-        });
-    });
-}
-
-/// The three event-time distributions the timing wheel must handle well:
-/// uniform (arbitrary lookahead), bursty (clumps of same-cycle events with
-/// long gaps), and monotone (the near-sorted stream a bus model produces).
-fn bench_event_queue_distributions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel/event_queue");
-    group.sample_size(20);
-
-    group.bench_function("uniform_4k_span_interleaved", |b| {
-        let mut rng = SimRng::new(11);
-        b.iter(|| {
-            let mut queue = EventQueue::new();
-            let mut sum = 0u64;
-            let mut base = 0u64;
-            // Interleave schedule and pop the way the TLM engine does.
-            for round in 0..250u64 {
-                for i in 0..4u64 {
-                    let at = base + rng.range_u64(0, 4_096);
-                    queue.schedule(Cycle::new(at), round * 4 + i);
-                }
-                if let Some((at, payload)) = queue.pop() {
-                    base = base.max(at.value());
-                    sum = sum.wrapping_add(payload);
-                }
-            }
-            while let Some((_, payload)) = queue.pop() {
-                sum = sum.wrapping_add(payload);
-            }
-            black_box(sum)
-        });
-    });
-
-    group.bench_function("bursty_same_cycle_clumps", |b| {
-        let mut rng = SimRng::new(13);
-        b.iter(|| {
-            let mut queue = EventQueue::new();
-            let mut sum = 0u64;
-            let mut t = 0u64;
-            for clump in 0..100u64 {
-                t += 1 + rng.range_u64(0, 10_000);
-                for i in 0..10u64 {
-                    queue.schedule(Cycle::new(t), clump * 10 + i);
-                }
-            }
-            while let Some((_, payload)) = queue.pop() {
-                sum = sum.wrapping_add(payload);
-            }
-            black_box(sum)
-        });
-    });
-
-    group.bench_function("monotone_small_deltas", |b| {
-        let mut rng = SimRng::new(17);
-        b.iter(|| {
-            let mut queue = EventQueue::new();
-            let mut sum = 0u64;
-            let mut t = 0u64;
-            // Near-monotone schedule/pop: the common case for a bus model,
-            // where every new event lands a few cycles ahead of the clock.
-            for i in 0..1_000u64 {
-                t += rng.range_u64(1, 32);
-                queue.schedule(Cycle::new(t), i);
-                if i % 2 == 0 {
-                    if let Some((_, payload)) = queue.pop() {
-                        sum = sum.wrapping_add(payload);
-                    }
-                }
-            }
-            while let Some((_, payload)) = queue.pop() {
-                sum = sum.wrapping_add(payload);
-            }
-            black_box(sum)
-        });
-    });
-
-    group.bench_function("cancel_heavy", |b| {
-        let mut rng = SimRng::new(19);
-        b.iter(|| {
-            let mut queue = EventQueue::new();
-            let mut ids = Vec::with_capacity(1_000);
-            for i in 0..1_000u64 {
-                ids.push(queue.schedule(Cycle::new(rng.range_u64(0, 65_536)), i));
-            }
-            // Cancel half of everything scheduled, scattered.
-            let mut cancelled = 0u64;
-            for (i, id) in ids.iter().enumerate() {
-                if i % 2 == 0 && queue.cancel(*id) {
-                    cancelled += 1;
-                }
-            }
-            let mut sum = cancelled;
-            while let Some((_, payload)) = queue.pop() {
-                sum = sum.wrapping_add(payload);
-            }
-            black_box(sum)
-        });
-    });
-
-    group.finish();
-}
-
-/// Replica of the seed kernel's event queue — `BinaryHeap` plus a
-/// cancelled-id list that `pop` linearly scans — kept here as the baseline
-/// the timing wheel is measured against on identical operation sequences.
-mod seed_heap {
-    use simkern::time::Cycle;
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    pub struct Entry<E> {
-        at: Cycle,
-        seq: u64,
-        pub id: u64,
-        payload: E,
-    }
-
-    impl<E> PartialEq for Entry<E> {
-        fn eq(&self, other: &Self) -> bool {
-            self.at == other.at && self.seq == other.seq
-        }
-    }
-    impl<E> Eq for Entry<E> {}
-    impl<E> PartialOrd for Entry<E> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<E> Ord for Entry<E> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .at
-                .cmp(&self.at)
-                .then_with(|| other.seq.cmp(&self.seq))
-        }
-    }
-
-    #[derive(Default)]
-    pub struct HeapQueue<E> {
-        heap: BinaryHeap<Entry<E>>,
-        next: u64,
-        cancelled: Vec<u64>,
-    }
-
-    impl<E> HeapQueue<E> {
-        pub fn new() -> Self {
-            HeapQueue {
-                heap: BinaryHeap::new(),
-                next: 0,
-                cancelled: Vec::new(),
-            }
-        }
-
-        pub fn schedule(&mut self, at: Cycle, payload: E) -> u64 {
-            let id = self.next;
-            self.next += 1;
-            self.heap.push(Entry {
-                at,
-                seq: id,
-                id,
-                payload,
-            });
-            id
-        }
-
-        pub fn cancel(&mut self, id: u64) -> bool {
-            if self.cancelled.contains(&id) {
-                return false;
-            }
-            let exists = self.heap.iter().any(|e| e.id == id);
-            if exists {
-                self.cancelled.push(id);
-            }
-            exists
-        }
-
-        pub fn pop(&mut self) -> Option<(Cycle, E)> {
-            while let Some(front) = self.heap.peek() {
-                if let Some(pos) = self.cancelled.iter().position(|id| *id == front.id) {
-                    self.cancelled.swap_remove(pos);
-                    self.heap.pop();
-                } else {
-                    break;
-                }
-            }
-            self.heap.pop().map(|e| (e.at, e.payload))
-        }
-    }
-}
-
-/// Timing wheel versus the seed heap on the same randomized workloads —
-/// the head-to-head number behind this kernel's replacement.
-fn bench_wheel_vs_seed_heap(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernel/wheel_vs_seed_heap");
-    group.sample_size(20);
-
-    // Plain schedule/pop, no cancellation (the heap's best case).
-    group.bench_function("seed_heap_schedule_pop_1k", |b| {
-        b.iter(|| {
-            let mut queue = seed_heap::HeapQueue::new();
-            for i in 0..1_000u64 {
-                queue.schedule(Cycle::new((i * 7) % 997), i);
-            }
-            let mut sum = 0u64;
-            while let Some((_, payload)) = queue.pop() {
-                sum = sum.wrapping_add(payload);
-            }
-            black_box(sum)
-        });
-    });
-
-    // Cancellation-heavy: the seed heap pays an O(n) membership scan per
-    // cancel and an O(c) scan per pop.
-    group.bench_function("seed_heap_cancel_heavy", |b| {
-        let mut rng = SimRng::new(19);
-        b.iter(|| {
-            let mut queue = seed_heap::HeapQueue::new();
-            let mut ids = Vec::with_capacity(1_000);
-            for i in 0..1_000u64 {
-                ids.push(queue.schedule(Cycle::new(rng.range_u64(0, 65_536)), i));
-            }
-            let mut sum = 0u64;
-            for (i, id) in ids.iter().enumerate() {
-                if i % 2 == 0 && queue.cancel(*id) {
-                    sum += 1;
-                }
-            }
-            while let Some((_, payload)) = queue.pop() {
-                sum = sum.wrapping_add(payload);
-            }
-            black_box(sum)
-        });
-    });
-
-    // The matching wheel runs live in the `kernel/event_queue` group
-    // (`schedule_pop_1k` and `cancel_heavy` use identical sequences).
-    group.finish();
-}
 
 /// Pooled (arena handle) versus cloned transaction flow: the per-round cost
 /// of presenting the same pending set to an arbiter-shaped consumer.
@@ -338,35 +80,6 @@ fn bench_txn_pool_vs_clone(c: &mut Criterion) {
     group.finish();
 }
 
-struct Counter {
-    value: Register<u64>,
-}
-
-impl Clocked for Counter {
-    fn eval(&mut self, _now: Cycle) {
-        let next = self.value.get().wrapping_add(1);
-        self.value.load(next);
-    }
-    fn commit(&mut self, _now: Cycle) {
-        self.value.commit();
-    }
-}
-
-fn bench_clock_engine(c: &mut Criterion) {
-    c.bench_function("kernel/clock_engine_16_components_10k_cycles", |b| {
-        b.iter(|| {
-            let mut engine = ClockEngine::new();
-            for _ in 0..16 {
-                engine.add(Box::new(Counter {
-                    value: Register::new(0),
-                }));
-            }
-            let report = engine.run_for(CycleDelta::new(10_000));
-            black_box(report.cycles)
-        });
-    });
-}
-
 fn bench_ddr_controller(c: &mut Criterion) {
     c.bench_function("kernel/ddr_controller_1k_accesses", |b| {
         b.iter(|| {
@@ -384,13 +97,5 @@ fn bench_ddr_controller(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_event_queue,
-    bench_event_queue_distributions,
-    bench_wheel_vs_seed_heap,
-    bench_txn_pool_vs_clone,
-    bench_clock_engine,
-    bench_ddr_controller
-);
+criterion_group!(benches, bench_txn_pool_vs_clone, bench_ddr_controller);
 criterion_main!(benches);

@@ -91,7 +91,6 @@ impl PlatformConfig {
             params: self.params.clone(),
             ddr: self.ddr,
             max_cycles: self.max_cycles,
-            profiling: true,
         }
     }
 

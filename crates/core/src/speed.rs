@@ -82,12 +82,11 @@ impl ModelSpec {
 
 /// The standard measurement set: the pin-accurate reference, the
 /// transaction-level model, the loosely-timed model, the paper's
-/// single-master TLM configuration, the TLM with the §3.6 profiling
-/// features detached, the 32-/64-master TLM scaling configurations
-/// (same per-master workload over `traffic::pattern_many`, so the
-/// ready-set scaling shows up in `BENCH_speed.json`), and the multi-bus
-/// platforms: the default 2-shard partitions of the speed workload, the
-/// dedicated sharded scaling configurations over
+/// single-master TLM configuration, the 32-/64-master TLM scaling
+/// configurations (same per-master workload over `traffic::pattern_many`,
+/// so the ready-set scaling shows up in `BENCH_speed.json`), and the
+/// multi-bus platforms: the default 2-shard partitions of the speed
+/// workload, the dedicated sharded scaling configurations over
 /// `traffic::pattern_shards` (`sharded-tlm-4x4` bridge-light and
 /// bridge-heavy, `sharded-lt-4x16`, plus the adaptive-lookahead twins
 /// `sharded-tlm-la-4x4` and `sharded-lt-4x16-la` over the identical
@@ -97,8 +96,8 @@ impl ModelSpec {
 /// the skewed window map (`sharded-skew`).
 #[must_use]
 pub fn standard_models() -> Vec<ModelSpec> {
-    use ahb_multi::{MultiConfig, MultiSystem, ShardBackendKind, Topology};
-    use traffic::{pattern_shards, ShardMix};
+    use ahb_multi::{MultiSystem, ShardBackendKind, Topology};
+    use traffic::{pattern_shards, ShardMix, TrafficPattern};
 
     let scaled = |masters: usize| {
         move |config: &PlatformConfig| -> Box<dyn BusModel> {
@@ -114,76 +113,38 @@ pub fn standard_models() -> Vec<ModelSpec> {
     // probe-identical), so every measured sharded configuration uses
     // worker threads exactly when the host has cores for them.
     let threaded = std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
-    // The default 2-shard partition of the speed workload — what
-    // `PlatformConfig::build_sharded` builds, but with the measurement
-    // threading policy applied.
-    let partitioned = |backend: ShardBackendKind, threaded: bool| {
-        move |config: &PlatformConfig| -> Box<dyn BusModel> {
-            let multi = MultiConfig::new(backend)
-                .with_params(config.params.clone())
-                .with_ddr(config.ddr)
-                .with_max_cycles(config.max_cycles)
-                .with_threaded(threaded);
-            let parts =
-                ahb_multi::partition_round_robin(&config.pattern, PlatformConfig::DEFAULT_SHARDS);
-            Box::new(MultiSystem::from_shard_patterns(
-                &multi,
-                &parts,
-                config.transactions_per_master,
-                config.seed,
-            ))
-        }
-    };
-    // A topology configuration (what `PlatformConfig::build_topology`
+    // A multi-bus platform of `topology` (what `PlatformConfig::build_multi`
     // builds), with the measurement threading policy applied. `patterns`
     // overrides the per-shard workloads; `None` partitions the speed
-    // workload round-robin over the topology's shard count.
-    let topology_spec =
-        move |topology: Topology, patterns: Option<Vec<traffic::TrafficPattern>>| {
+    // workload round-robin over the topology's shard count. The platform
+    // inherits the speed scenario's bus and DRAM parameters like every
+    // other spec, so the sharded rows stay comparable to the flat-bus rows.
+    let multi =
+        move |topology: Topology, patterns: Option<Vec<TrafficPattern>>, lookahead: bool| {
             move |config: &PlatformConfig| -> Box<dyn BusModel> {
-                let shards = topology
-                    .shard_count()
-                    .unwrap_or(PlatformConfig::DEFAULT_SHARDS);
-                let parts = patterns
-                    .clone()
-                    .unwrap_or_else(|| ahb_multi::partition_round_robin(&config.pattern, shards));
-                let multi = MultiConfig::from_topology(topology.clone())
-                    .with_params(config.params.clone())
-                    .with_ddr(config.ddr)
-                    .with_max_cycles(config.max_cycles)
-                    .with_threaded(threaded);
+                let multi_config = config
+                    .multi_config(topology.clone())
+                    .with_threaded(threaded)
+                    .with_lookahead(lookahead);
+                let partitioned;
+                let parts = match &patterns {
+                    Some(parts) => parts,
+                    None => {
+                        let shards = topology
+                            .shard_count()
+                            .unwrap_or(PlatformConfig::DEFAULT_SHARDS);
+                        partitioned = ahb_multi::partition_round_robin(&config.pattern, shards);
+                        &partitioned
+                    }
+                };
                 Box::new(MultiSystem::from_shard_patterns(
-                    &multi,
-                    &parts,
+                    &multi_config,
+                    parts,
                     config.transactions_per_master,
                     config.seed,
                 ))
             }
         };
-    let sharded = move |backend: ShardBackendKind,
-                        shards: usize,
-                        masters: usize,
-                        mix: ShardMix,
-                        lookahead: bool| {
-        move |config: &PlatformConfig| -> Box<dyn BusModel> {
-            // Inherit the speed scenario's bus and DRAM parameters like
-            // every other spec, so the sharded rows stay comparable to
-            // the flat-bus rows if the scenario ever departs from the
-            // defaults.
-            let multi = MultiConfig::new(backend)
-                .with_params(config.params.clone())
-                .with_ddr(config.ddr)
-                .with_max_cycles(config.max_cycles)
-                .with_threaded(threaded)
-                .with_lookahead(lookahead);
-            Box::new(MultiSystem::from_shard_patterns(
-                &multi,
-                &pattern_shards(shards, masters, mix),
-                config.transactions_per_master,
-                config.seed,
-            ))
-        }
-    };
     vec![
         ModelSpec::new(|config| Box::new(config.build_rtl())),
         ModelSpec::new(|config| Box::new(config.build_tlm())),
@@ -191,21 +152,17 @@ pub fn standard_models() -> Vec<ModelSpec> {
         ModelSpec::variant("single-master", |config| {
             Box::new(config.clone().with_master_subset(1).build_tlm())
         }),
-        ModelSpec::variant("detached", |config| {
-            Box::new(ahb_tlm::TlmSystem::from_pattern(
-                config.tlm_config().with_profiling(false),
-                &config.pattern,
-                config.transactions_per_master,
-                config.seed,
-            ))
-        }),
         ModelSpec::variant("32-master", scaled(32)),
         ModelSpec::variant("64-master", scaled(64)),
-        ModelSpec::new(partitioned(ShardBackendKind::Tlm, threaded)),
-        ModelSpec::new(partitioned(ShardBackendKind::Lt, threaded)),
+        ModelSpec::new(multi(Topology::uniform(ShardBackendKind::Tlm), None, false)),
+        ModelSpec::new(multi(Topology::uniform(ShardBackendKind::Lt), None, false)),
         ModelSpec::variant(
             "4x4",
-            sharded(ShardBackendKind::Tlm, 4, 4, ShardMix::LocalHeavy, false),
+            multi(
+                Topology::uniform(ShardBackendKind::Tlm),
+                Some(pattern_shards(4, 4, ShardMix::LocalHeavy)),
+                false,
+            ),
         ),
         // The same 4×4 workload under the adaptive-lookahead scheduler
         // (the platform reports itself as `sharded-tlm-la`, so the
@@ -213,32 +170,49 @@ pub fn standard_models() -> Vec<ModelSpec> {
         // the synchronization cost.
         ModelSpec::variant(
             "4x4",
-            sharded(ShardBackendKind::Tlm, 4, 4, ShardMix::LocalHeavy, true),
+            multi(
+                Topology::uniform(ShardBackendKind::Tlm),
+                Some(pattern_shards(4, 4, ShardMix::LocalHeavy)),
+                true,
+            ),
         ),
         ModelSpec::variant(
             "4x4-bridge",
-            sharded(ShardBackendKind::Tlm, 4, 4, ShardMix::BridgeHeavy, false),
+            multi(
+                Topology::uniform(ShardBackendKind::Tlm),
+                Some(pattern_shards(4, 4, ShardMix::BridgeHeavy)),
+                false,
+            ),
         ),
         ModelSpec::variant(
             "4x16",
-            sharded(ShardBackendKind::Lt, 4, 16, ShardMix::LocalHeavy, false),
+            multi(
+                Topology::uniform(ShardBackendKind::Lt),
+                Some(pattern_shards(4, 16, ShardMix::LocalHeavy)),
+                false,
+            ),
         ),
         // Loosely-timed shards keep their model kind under lookahead, so
         // the variant suffix carries the `-la` marker instead.
         ModelSpec::variant(
             "4x16-la",
-            sharded(ShardBackendKind::Lt, 4, 16, ShardMix::LocalHeavy, true),
+            multi(
+                Topology::uniform(ShardBackendKind::Lt),
+                Some(pattern_shards(4, 16, ShardMix::LocalHeavy)),
+                true,
+            ),
         ),
-        ModelSpec::new(topology_spec(Topology::het_2x2(), None)),
-        ModelSpec::new(topology_spec(Topology::tlm_non_posted_reads(), None)),
-        ModelSpec::new(topology_spec(Topology::tlm_skewed_windows(), None)),
+        ModelSpec::new(multi(Topology::het_2x2(), None, false)),
+        ModelSpec::new(multi(Topology::tlm_non_posted_reads(), None, false)),
+        ModelSpec::new(multi(Topology::tlm_skewed_windows(), None, false)),
         // Four non-posted-read TLM shards over the read-heavy cross-shard
         // mix: the response-leg scaling configuration.
         ModelSpec::variant(
             "4x4",
-            topology_spec(
+            multi(
                 Topology::heterogeneous(vec![ShardBackendKind::Tlm; 4]).with_posted_reads(false),
                 Some(pattern_shards(4, 4, ShardMix::ReadHeavy)),
+                false,
             ),
         ),
     ]
@@ -436,7 +410,6 @@ mod tests {
                 model_names::TLM,
                 model_names::LT,
                 model_names::TLM_SINGLE_MASTER,
-                model_names::TLM_DETACHED,
                 model_names::TLM_32_MASTER,
                 model_names::TLM_64_MASTER,
                 model_names::SHARDED_TLM,

@@ -1,39 +1,16 @@
-//! Clocked component abstraction for the two-step cycle-based engine.
-
-use std::fmt;
+//! Clocked component abstraction for the two-step cycle-based model.
 
 use crate::time::Cycle;
 
-/// Identifier of a component registered with a [`crate::engine::ClockEngine`].
-///
-/// The identifier doubles as the evaluation order: components are evaluated
-/// in ascending id order within the evaluate phase of each cycle. Because
-/// evaluation only observes values committed in the previous cycle, the order
-/// does not affect results; it only makes traces reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComponentId(pub(crate) usize);
-
-impl ComponentId {
-    /// Returns the raw index of this component.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for ComponentId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "component#{}", self.0)
-    }
-}
-
-/// A hardware block stepped by the two-step cycle-based engine.
+/// A hardware block stepped two-step cycle by cycle.
 ///
 /// One simulated clock cycle consists of calling [`Clocked::eval`] on every
 /// component (combinational logic: read committed signal values, schedule new
 /// ones) followed by [`Clocked::commit`] on every component (sequential
 /// logic: make the scheduled values visible). This mirrors the evaluate /
-/// update split of the 2-step cycle-based simulator used in the paper.
+/// update split of the 2-step cycle-based simulator used in the paper. The
+/// owner of the components drives the two phases; in this workspace that is
+/// the pin-accurate platform's own run loop (`ahb_rtl::RtlSystem::run_until`).
 ///
 /// # Example
 ///
@@ -91,10 +68,9 @@ pub trait Clocked {
     /// component raises no new activity on its own before
     /// [`Clocked::wake_at`].
     ///
-    /// When every component registered with a
-    /// [`crate::engine::ClockEngine`] reports quiescence, the engine may
-    /// fast-forward simulated time in one jump instead of virtual-
-    /// dispatching both phases on every component every cycle. A component
+    /// When every component of a platform reports quiescence, the run loop
+    /// driving them may fast-forward simulated time in one jump instead of
+    /// calling both phases on every component every cycle. A component
     /// that cannot cheaply prove quiescence must keep the default (`false`),
     /// which disables skipping — correctness first, speed second.
     ///
@@ -110,7 +86,7 @@ pub trait Clocked {
     /// stays quiescent until some other component's activity reaches it.
     ///
     /// Only consulted when [`Clocked::is_quiescent`] returned `true`. The
-    /// engine fast-forwards to the minimum `wake_at` over all components
+    /// run loop fast-forwards to the minimum `wake_at` over all components
     /// (clamped to the run's end), so a periodic component (a refresh
     /// timer, a frame-paced master) must report its next deadline here.
     fn wake_at(&self) -> Option<Cycle> {
@@ -179,12 +155,5 @@ mod tests {
         assert!(!sr.stage0.get());
         assert!(!sr.stage1.get());
         assert_eq!(sr.name(), "shift_reg");
-    }
-
-    #[test]
-    fn component_id_display_and_index() {
-        let id = ComponentId(4);
-        assert_eq!(id.index(), 4);
-        assert_eq!(id.to_string(), "component#4");
     }
 }

@@ -3,23 +3,23 @@
 //!
 //! The original paper builds its models on top of a commercial *2-step
 //! cycle-based* simulation tool and uses *method-based* (function call)
-//! modeling instead of thread-based processes. This crate provides the same
-//! two execution styles in plain Rust:
+//! modeling instead of thread-based processes. Neither style needs an event
+//! scheduler here:
 //!
-//! * [`engine::run_clocked`] / [`engine::ClockEngine`] — a two-phase
-//!   (evaluate, then commit) cycle-based engine used by the pin-accurate
-//!   RTL-style model. Every registered component is stepped every cycle,
-//!   which is exactly why signal-level simulation is slow.
-//! * [`event::EventQueue`] — a hierarchical timing-wheel event queue used
-//!   by the transaction-level model: O(1) amortized schedule/pop inside the
-//!   wheel horizon, an overflow tree beyond it, and O(1) cancellation via
-//!   generation-stamped slots.
+//! * The transaction-level models advance time by plain function calls —
+//!   each transaction computes its own grant and completion cycles — so
+//!   there is no event queue.
+//! * The pin-accurate model is a set of [`Clocked`] components stepped two
+//!   phases per cycle (evaluate combinational logic against committed
+//!   values, then commit every scheduled value at once). The platform owns
+//!   its run loop (`ahb_rtl::RtlSystem::run_until`) and calls the phases
+//!   itself.
 //!
 //! # Idle-skip contract
 //!
-//! The two-phase engine normally virtual-dispatches `eval` and `commit` on
-//! every component every cycle. Components that can cheaply prove they are
-//! *quiescent* opt into fast-forwarding by overriding two trait hooks:
+//! Stepping both phases on every component every cycle is why signal-level
+//! simulation is slow. Components that can cheaply prove they are
+//! *quiescent* let the run loop fast-forward by overriding two trait hooks:
 //!
 //! * [`component::Clocked::is_quiescent`] — return `true` at cycle `T` only
 //!   if stepping the component over `[T, wake_at)` would change no
@@ -29,34 +29,33 @@
 //!   the (currently quiescent) component becomes active *of its own
 //!   accord*; `None` means "only other components' activity can wake me".
 //!
-//! [`engine::ClockEngine::run_for`] fast-forwards time in one jump while
-//! **all** components report quiescence, bounded by the minimum `wake_at`
-//! and the end of the run; skipped cycles still count toward the report and
-//! `cycles_run`. `run_until` never skips, because its predicate must be
-//! evaluated after every cycle.
+//! `RtlSystem::run_until` jumps in one step while **all** of its blocks
+//! report quiescence, bounded by the minimum `wake_at` and the end of the
+//! run; skipped cycles still count toward the report.
 //!
-//! Supporting utilities shared by both models:
+//! Supporting utilities shared by the models:
 //!
 //! * [`time`] — strongly-typed cycle counts.
 //! * [`signal`] — two-phase registers/signals with edge detection.
 //! * [`rng`] — deterministic pseudo random number generation so that the
 //!   RTL and TLM runs replay bit-identical stimulus.
-//! * [`stats`] — counters, histograms, running statistics, busy trackers.
-//! * [`trace`] — lightweight value-change tracing (VCD-style).
+//! * [`stats`] — event counters and integer cycle-count statistics.
 //! * [`assertion`] — simulation-time property checking (paper §3.5).
 //!
 //! # Example
 //!
 //! ```
-//! use simkern::time::Cycle;
-//! use simkern::event::EventQueue;
+//! use simkern::signal::{Edge, Register};
+//! use simkern::time::{Cycle, CycleDelta};
 //!
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
-//! queue.schedule(Cycle::new(5), "five");
-//! queue.schedule(Cycle::new(2), "two");
-//! let (when, what) = queue.pop().expect("event");
-//! assert_eq!(when, Cycle::new(2));
-//! assert_eq!(what, "two");
+//! let mut now = Cycle::new(0);
+//! let mut hready = Register::new(false);
+//! hready.load(true); // evaluate: schedule the next value
+//! assert!(!hready.get(), "not visible before the commit");
+//! assert_eq!(hready.commit(), Edge::Changed);
+//! now += CycleDelta::ONE;
+//! assert!(hready.get());
+//! assert_eq!(now, Cycle::new(1));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,19 +63,14 @@
 
 pub mod assertion;
 pub mod component;
-pub mod engine;
-pub mod event;
 pub mod rng;
 pub mod signal;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use assertion::{AssertionKind, AssertionSink, Severity, Violation};
-pub use component::{Clocked, ComponentId};
-pub use engine::{run_clocked, ClockEngine, EngineReport};
-pub use event::{EventId, EventQueue};
+pub use component::Clocked;
 pub use rng::SimRng;
 pub use signal::{Edge, Register, Signal};
-pub use stats::{BusyTracker, Counter, CycleStats, Histogram, RunningStats};
+pub use stats::{Counter, CycleStats};
 pub use time::{Cycle, CycleDelta};

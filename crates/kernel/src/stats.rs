@@ -2,13 +2,10 @@
 //!
 //! The paper integrates "bus and master port profiling features" directly
 //! into the transaction ports and internal functions (§3.6). These small
-//! accumulators are the building blocks: monotone counters, latency
-//! histograms, running mean/min/max statistics and busy-time trackers for
-//! utilization.
+//! accumulators are the building blocks: monotone counters and integer
+//! cycle-count statistics.
 
 use std::fmt;
-
-use crate::time::{Cycle, CycleDelta};
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,7 +48,7 @@ impl fmt::Display for Counter {
     }
 }
 
-/// Integer cycle-count statistics: like [`RunningStats`] but over `u64`
+/// Integer cycle-count statistics: count, sum, min and max over `u64`
 /// samples, with no float conversion on the record path. Built for
 /// once-per-transaction latency accounting in simulation hot loops; means
 /// are computed on demand (sums of cycle counts stay exact in `f64` well
@@ -130,253 +127,6 @@ impl CycleStats {
     }
 }
 
-/// Running mean / min / max over a stream of samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunningStats {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        RunningStats {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: f64) {
-        self.count += 1;
-        self.sum += sample;
-        if sample < self.min {
-            self.min = sample;
-        }
-        if sample > self.max {
-            self.max = sample;
-        }
-    }
-
-    /// Records a cycle-count sample (convenience for latency accounting).
-    pub fn record_cycles(&mut self, delta: CycleDelta) {
-        self.record(delta.value() as f64);
-    }
-
-    /// Number of samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of all samples, or 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Smallest sample, or 0.0 when empty.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0.0 when empty.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.min < self.min {
-            self.min = other.min;
-        }
-        if other.max > self.max {
-            self.max = other.max;
-        }
-    }
-}
-
-/// A fixed-bucket histogram of latency (or any cycle-valued) samples.
-///
-/// Buckets are `[0, width)`, `[width, 2*width)`, ... with one final overflow
-/// bucket. The histogram also keeps exact running statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bucket_width: u64,
-    buckets: Vec<u64>,
-    overflow: u64,
-    stats: RunningStats,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bucket_count` buckets of `bucket_width`
-    /// cycles each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_width` is zero or `bucket_count` is zero.
-    #[must_use]
-    pub fn new(bucket_width: u64, bucket_count: usize) -> Self {
-        assert!(bucket_width > 0, "bucket width must be non-zero");
-        assert!(bucket_count > 0, "bucket count must be non-zero");
-        Histogram {
-            bucket_width,
-            buckets: vec![0; bucket_count],
-            overflow: 0,
-            stats: RunningStats::new(),
-        }
-    }
-
-    /// Records one sample expressed in cycles.
-    pub fn record(&mut self, cycles: u64) {
-        self.stats.record(cycles as f64);
-        let bucket = (cycles / self.bucket_width) as usize;
-        if bucket < self.buckets.len() {
-            self.buckets[bucket] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Records a [`CycleDelta`] sample.
-    pub fn record_delta(&mut self, delta: CycleDelta) {
-        self.record(delta.value());
-    }
-
-    /// Bucket contents (excluding the overflow bucket).
-    #[must_use]
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Number of samples that fell past the last bucket.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of samples.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.stats.count()
-    }
-
-    /// Running statistics over all recorded samples.
-    #[must_use]
-    pub fn stats(&self) -> &RunningStats {
-        &self.stats
-    }
-
-    /// Approximate percentile (0.0 ..= 100.0) computed from the buckets.
-    ///
-    /// Returns the upper edge of the bucket containing the requested
-    /// percentile; overflow samples report `u64::MAX`.
-    #[must_use]
-    pub fn percentile(&self, pct: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((pct / 100.0) * total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (index, count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= target {
-                return (index as u64 + 1) * self.bucket_width;
-            }
-        }
-        u64::MAX
-    }
-}
-
-/// Tracks how many cycles a resource was busy, for utilization metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusyTracker {
-    busy_cycles: u64,
-    busy_since: Option<Cycle>,
-}
-
-impl BusyTracker {
-    /// Creates an idle tracker.
-    #[must_use]
-    pub fn new() -> Self {
-        BusyTracker::default()
-    }
-
-    /// Marks the resource busy starting at `now`. Re-entrant calls while
-    /// already busy are ignored.
-    pub fn begin(&mut self, now: Cycle) {
-        if self.busy_since.is_none() {
-            self.busy_since = Some(now);
-        }
-    }
-
-    /// Marks the resource idle at `now`, accumulating the busy span.
-    pub fn end(&mut self, now: Cycle) {
-        if let Some(since) = self.busy_since.take() {
-            self.busy_cycles += now.saturating_since(since).value();
-        }
-    }
-
-    /// Adds a whole busy span directly (used by the transaction-level model,
-    /// which knows phase durations analytically).
-    pub fn add_span(&mut self, cycles: CycleDelta) {
-        self.busy_cycles += cycles.value();
-    }
-
-    /// Busy cycles accumulated so far. If the resource is still busy the
-    /// open span is *not* included; call [`BusyTracker::end`] first.
-    #[must_use]
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Utilization in `[0, 1]` over a window of `total` cycles.
-    #[must_use]
-    pub fn utilization(&self, total: CycleDelta) -> f64 {
-        if total.is_zero() {
-            return 0.0;
-        }
-        (self.busy_cycles as f64 / total.value() as f64).min(1.0)
-    }
-
-    /// Returns `true` if the resource is currently marked busy.
-    #[must_use]
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,99 +140,5 @@ mod tests {
         assert_eq!(c.to_string(), "5");
         c.clear();
         assert_eq!(c.value(), 0);
-    }
-
-    #[test]
-    fn running_stats_mean_min_max() {
-        let mut s = RunningStats::new();
-        assert_eq!(s.mean(), 0.0);
-        for x in [2.0, 4.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 3);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn running_stats_merge() {
-        let mut a = RunningStats::new();
-        a.record(1.0);
-        a.record(3.0);
-        let mut b = RunningStats::new();
-        b.record(10.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), 10.0);
-        assert_eq!(a.min(), 1.0);
-        let empty = RunningStats::new();
-        a.merge(&empty);
-        assert_eq!(a.count(), 3);
-    }
-
-    #[test]
-    fn running_stats_record_cycles() {
-        let mut s = RunningStats::new();
-        s.record_cycles(CycleDelta::new(12));
-        assert_eq!(s.mean(), 12.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(10, 4);
-        for c in [0, 5, 12, 25, 39, 100] {
-            h.record(c);
-        }
-        assert_eq!(h.buckets(), &[2, 1, 1, 1]);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
-    fn histogram_percentile_estimates_upper_edge() {
-        let mut h = Histogram::new(10, 10);
-        for c in 0..100 {
-            h.record(c);
-        }
-        assert_eq!(h.percentile(50.0), 50);
-        assert_eq!(h.percentile(100.0), 100);
-        let empty = Histogram::new(10, 10);
-        assert_eq!(empty.percentile(99.0), 0);
-    }
-
-    #[test]
-    fn histogram_overflow_percentile_is_max() {
-        let mut h = Histogram::new(1, 1);
-        h.record(1_000);
-        assert_eq!(h.percentile(99.0), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width")]
-    fn histogram_rejects_zero_width() {
-        let _ = Histogram::new(0, 4);
-    }
-
-    #[test]
-    fn busy_tracker_spans_and_utilization() {
-        let mut b = BusyTracker::new();
-        b.begin(Cycle::new(10));
-        assert!(b.is_busy());
-        b.begin(Cycle::new(12)); // re-entrant begin ignored
-        b.end(Cycle::new(20));
-        assert!(!b.is_busy());
-        assert_eq!(b.busy_cycles(), 10);
-        b.add_span(CycleDelta::new(10));
-        assert_eq!(b.busy_cycles(), 20);
-        assert!((b.utilization(CycleDelta::new(40)) - 0.5).abs() < 1e-12);
-        assert_eq!(b.utilization(CycleDelta::ZERO), 0.0);
-    }
-
-    #[test]
-    fn busy_tracker_end_without_begin_is_noop() {
-        let mut b = BusyTracker::new();
-        b.end(Cycle::new(5));
-        assert_eq!(b.busy_cycles(), 0);
     }
 }

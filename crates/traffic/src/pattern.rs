@@ -274,10 +274,10 @@ pub fn pattern_many(count: usize) -> TrafficPattern {
 ///
 /// [`pattern_shards`] places every master region inside a
 /// `1 << SHARD_WINDOW_SHIFT`-byte window whose interleaved owner (window
-/// index modulo shard count — `amba::bridge::ShardMap` with this shift)
-/// is the shard the master's traffic targets, so the local/remote mix of
-/// a sharded pattern is decided here and decoded identically by the
-/// platform.
+/// index modulo shard count — `amba::bridge::WindowMap::interleaved` with
+/// this shift) is the shard the master's traffic targets, so the
+/// local/remote mix of a sharded pattern is decided here and decoded
+/// identically by the platform.
 pub const SHARD_WINDOW_SHIFT: u32 = 24;
 
 /// The cross-bus traffic mixes of the multi-bus patterns.

@@ -1,10 +1,10 @@
 //! Property tests of the generalized shard-window decode
 //! (`amba::bridge::WindowMap`): owner/is_remote consistency, full
 //! address-space coverage with no overlap, and equivalence of the
-//! interleaved constructor with the classic `ShardMap` (and with an
-//! explicit owner table spelling out the same interleave).
+//! interleaved constructor with its closed form `(addr >> shift) % shards`
+//! (and with an explicit owner table spelling out the same interleave).
 
-use amba::bridge::{ShardMap, WindowMap, MIN_EXPLICIT_WINDOW_SHIFT};
+use amba::bridge::{WindowMap, MIN_EXPLICIT_WINDOW_SHIFT};
 use amba::ids::Addr;
 use proptest::prelude::*;
 
@@ -71,10 +71,10 @@ proptest! {
         }
     }
 
-    /// The interleaved constructor is the old `ShardMap`, and an explicit
-    /// table spelling out `window % shards` is indistinguishable from it
-    /// — exercised on the power-of-two shard counts the classic platform
-    /// shapes use.
+    /// The interleaved constructor decodes the classic shard map, the
+    /// closed form `(addr >> shift) % shards`, and an explicit table spelling out
+    /// `window % shards` is indistinguishable from it — exercised on the
+    /// power-of-two shard counts the classic platform shapes use.
     #[test]
     fn interleaved_map_matches_the_shard_map(
         shift in 24u32..28,
@@ -82,7 +82,7 @@ proptest! {
         addr in 0u32..u32::MAX,
     ) {
         let shards = 1u8 << shards_log2;
-        let shard_map = ShardMap::new(shift, shards);
+        let oracle = ((addr >> shift) % u32::from(shards)) as u8;
         let interleaved = WindowMap::interleaved(shift, shards);
         let windows = 1usize << (32 - shift);
         let spelled_out = WindowMap::explicit(
@@ -91,22 +91,29 @@ proptest! {
             (0..windows).map(|w| (w % usize::from(shards)) as u8).collect(),
         );
         let addr = Addr::new(addr);
-        prop_assert_eq!(interleaved.owner(addr), shard_map.owner(addr));
-        prop_assert_eq!(spelled_out.owner(addr), shard_map.owner(addr));
+        prop_assert_eq!(interleaved.owner(addr), oracle);
+        prop_assert_eq!(spelled_out.owner(addr), oracle);
         for own in 0..shards {
-            prop_assert_eq!(interleaved.is_remote(addr, own), shard_map.is_remote(addr, own));
-            prop_assert_eq!(spelled_out.is_remote(addr, own), shard_map.is_remote(addr, own));
+            prop_assert_eq!(interleaved.is_remote(addr, own), oracle != own);
+            prop_assert_eq!(spelled_out.is_remote(addr, own), oracle != own);
         }
     }
 }
 
+/// A map built as the classic shard map (24-bit windows over 4 shards) is
+/// the interleave: window index modulo shard count, spelled out here as
+/// literal owners.
 #[test]
 fn window_map_from_shard_map_is_the_interleave() {
-    let shard_map = ShardMap::new(24, 4);
-    let map = WindowMap::from(shard_map);
+    let map = WindowMap::interleaved(24, 4);
     assert!(map.is_interleaved());
     assert_eq!(map.shards(), 4);
-    for addr in [0u32, 0x0100_0000, 0x4321_0000, 0xFFFF_FFFF] {
-        assert_eq!(map.owner(Addr::new(addr)), shard_map.owner(Addr::new(addr)));
+    for (addr, owner) in [
+        (0u32, 0u8),
+        (0x0100_0000, 1),
+        (0x4321_0000, 3),
+        (0xFFFF_FFFF, 3),
+    ] {
+        assert_eq!(map.owner(Addr::new(addr)), owner);
     }
 }
