@@ -12,7 +12,9 @@ use std::fmt::Write as _;
 
 use amba::ids::MasterId;
 
-/// Which model produced a report.
+/// Which backend produced a report: the label a built model stamps on its
+/// [`SimReport`]. The list of runnable models is the `ahbplus` model
+/// registry, not this enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// The pin-accurate, cycle-level reference model (`ahb-rtl`).
@@ -51,26 +53,9 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// Every abstraction level of the spectrum, from most to least
-    /// timing-accurate (the sharded platforms come after the single-bus
-    /// models: they share the shard backend's timing fidelity but add the
-    /// bridge/quantum approximations). The accuracy harness compares each
-    /// pair in this order (earlier kind = reference).
-    pub const ALL: [ModelKind; 9] = [
-        ModelKind::PinAccurateRtl,
-        ModelKind::TransactionLevel,
-        ModelKind::LooselyTimed,
-        ModelKind::ShardedTlm,
-        ModelKind::ShardedTlmLa,
-        ModelKind::ShardedSkew,
-        ModelKind::ShardedTlmReads,
-        ModelKind::ShardedLt,
-        ModelKind::ShardedHet,
-    ];
-
     /// Short machine-readable identifier (`"rtl"` / `"tlm"` / `"lt"` /
-    /// `"sharded-tlm"` / ...), used for benchmark-artifact keys and CLI
-    /// model filters.
+    /// `"sharded-tlm"` / ...): what `BusModel::model_name` reports, and the
+    /// registry name of the spectrum entry that builds this backend.
     #[must_use]
     pub const fn id(self) -> &'static str {
         match self {
@@ -432,29 +417,6 @@ mod tests {
         assert_eq!(ModelKind::ShardedHet.id(), "sharded-het");
         assert_eq!(ModelKind::ShardedTlmReads.id(), "sharded-tlm-reads");
         assert_eq!(ModelKind::ShardedSkew.id(), "sharded-skew");
-    }
-
-    #[test]
-    fn model_kind_ids_are_unique_and_ordered_by_accuracy() {
-        let ids: Vec<&str> = ModelKind::ALL.iter().map(|k| k.id()).collect();
-        assert_eq!(
-            ids,
-            vec![
-                "rtl",
-                "tlm",
-                "lt",
-                "sharded-tlm",
-                "sharded-tlm-la",
-                "sharded-skew",
-                "sharded-tlm-reads",
-                "sharded-lt",
-                "sharded-het",
-            ]
-        );
-        let mut unique = ids.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), ids.len(), "ids must be unique");
     }
 
     #[test]

@@ -98,58 +98,10 @@ pub mod paper_reference {
     pub const SPEEDUP: f64 = 353.0;
 }
 
-/// Canonical model names used by the speed harness. The base names come
-/// from [`crate::report::ModelKind::id`] (what `BusModel::model_name`
-/// reports); configuration variants append a suffix.
-pub mod model_names {
-    /// The pin-accurate RTL reference.
-    pub const RTL: &str = "rtl";
-    /// The transaction-level model, full master set.
-    pub const TLM: &str = "tlm";
-    /// The transaction-level model restricted to a single master.
-    pub const TLM_SINGLE_MASTER: &str = "tlm-single-master";
-    /// The loosely-timed model.
-    pub const LT: &str = "lt";
-    /// The transaction-level model scaled to 32 masters.
-    pub const TLM_32_MASTER: &str = "tlm-32-master";
-    /// The transaction-level model scaled to 64 masters.
-    pub const TLM_64_MASTER: &str = "tlm-64-master";
-    /// The multi-bus platform with transaction-level shards (default
-    /// 2-shard partition of the speed workload).
-    pub const SHARDED_TLM: &str = "sharded-tlm";
-    /// The multi-bus platform with loosely-timed shards.
-    pub const SHARDED_LT: &str = "sharded-lt";
-    /// Four transaction-level shards of four masters each, bridge-light.
-    pub const SHARDED_TLM_4X4: &str = "sharded-tlm-4x4";
-    /// Four transaction-level shards of four masters each, bridge-heavy.
-    pub const SHARDED_TLM_4X4_BRIDGE: &str = "sharded-tlm-4x4-bridge";
-    /// Four loosely-timed shards of sixteen masters each, bridge-light.
-    pub const SHARDED_LT_4X16: &str = "sharded-lt-4x16";
-    /// The 4×4 bridge-light transaction-level platform under the
-    /// adaptive-lookahead scheduler (same workload as
-    /// [`SHARDED_TLM_4X4`], so the pair isolates the synchronization
-    /// cost).
-    pub const SHARDED_TLM_LA_4X4: &str = "sharded-tlm-la-4x4";
-    /// The 4×16 bridge-light loosely-timed platform under the
-    /// adaptive-lookahead scheduler.
-    pub const SHARDED_LT_4X16_LA: &str = "sharded-lt-4x16-la";
-    /// The heterogeneous multi-bus platform (2 `tlm` + 2 `lt` shards).
-    pub const SHARDED_HET: &str = "sharded-het";
-    /// Two transaction-level shards with non-posted read crossings.
-    pub const SHARDED_TLM_READS: &str = "sharded-tlm-reads";
-    /// Two transaction-level shards with a skewed (non-uniform) window
-    /// map: shard 0 owns three windows out of four.
-    pub const SHARDED_SKEW: &str = "sharded-skew";
-    /// Four non-posted-read transaction-level shards of four masters
-    /// each over the read-heavy cross-shard mix.
-    pub const SHARDED_TLM_READS_4X4: &str = "sharded-tlm-reads-4x4";
-}
-
 /// One measured model configuration inside a [`SpeedBenchRecord`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelMeasurement {
-    /// Model name as reported by `BusModel::model_name` (plus a variant
-    /// suffix for derived configurations, e.g. `"tlm-single-master"`).
+    /// The model's registry name (e.g. `"tlm"`, `"tlm-single-master"`).
     pub name: String,
     /// Simulated bus cycles of the measured run.
     pub cycles: u64,
@@ -185,6 +137,10 @@ pub struct SpeedBenchRecord {
     pub transactions_per_master: usize,
     /// Workload seed.
     pub seed: u64,
+    /// The host's available parallelism during the measurement.
+    pub host_cores: usize,
+    /// Whether the multi-bus models ran their shards on worker threads.
+    pub threaded: bool,
     /// One entry per measured model configuration.
     pub models: Vec<ModelMeasurement>,
 }
@@ -203,9 +159,9 @@ impl SpeedBenchRecord {
     pub fn speed_report(&self) -> SpeedReport {
         let throughput = |name: &str| self.model(name).map(|m| m.kcycles_per_sec);
         SpeedReport {
-            rtl_kcycles_per_sec: throughput(model_names::RTL).unwrap_or(f64::NAN),
-            tlm_kcycles_per_sec: throughput(model_names::TLM).unwrap_or(f64::NAN),
-            tlm_single_master_kcycles_per_sec: throughput(model_names::TLM_SINGLE_MASTER),
+            rtl_kcycles_per_sec: throughput("rtl").unwrap_or(f64::NAN),
+            tlm_kcycles_per_sec: throughput("tlm").unwrap_or(f64::NAN),
+            tlm_single_master_kcycles_per_sec: throughput("tlm-single-master"),
         }
     }
 
@@ -228,16 +184,10 @@ impl SpeedBenchRecord {
             self.transactions_per_master
         );
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(
-            out,
-            "  \"rtl_cycles\": {},",
-            json_u64(cycles_of(model_names::RTL))
-        );
-        let _ = writeln!(
-            out,
-            "  \"tlm_cycles\": {},",
-            json_u64(cycles_of(model_names::TLM))
-        );
+        let _ = writeln!(out, "  \"host_cores\": {},", self.host_cores);
+        let _ = writeln!(out, "  \"threaded\": {},", self.threaded);
+        let _ = writeln!(out, "  \"rtl_cycles\": {},", json_u64(cycles_of("rtl")));
+        let _ = writeln!(out, "  \"tlm_cycles\": {},", json_u64(cycles_of("tlm")));
         let _ = writeln!(
             out,
             "  \"rtl_kcycles_per_sec\": {},",
@@ -258,7 +208,7 @@ impl SpeedBenchRecord {
         let _ = writeln!(
             out,
             "  \"lt_kcycles_per_sec\": {},",
-            self.model(model_names::LT)
+            self.model("lt")
                 .map_or_else(|| "null".to_owned(), |m| json_f64(m.kcycles_per_sec))
         );
         let _ = writeln!(out, "  \"speedup\": {},", json_f64(speed.speedup()));
@@ -387,16 +337,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn trace_overhead_extends_the_per_model_json_line() {
-        let mut traced = measurement(model_names::TLM, 50_000, 1_000.0);
-        traced.trace_overhead_pct = Some(1.25);
-        let record = SpeedBenchRecord {
-            workload: "pattern_a".to_owned(),
+    fn record(workload: &str, models: Vec<ModelMeasurement>) -> SpeedBenchRecord {
+        SpeedBenchRecord {
+            workload: workload.to_owned(),
             transactions_per_master: 100,
             seed: 1,
-            models: vec![traced, measurement(model_names::LT, 50_000, 2_000.0)],
-        };
+            host_cores: 2,
+            threaded: true,
+            models,
+        }
+    }
+
+    #[test]
+    fn trace_overhead_extends_the_per_model_json_line() {
+        let mut traced = measurement("tlm", 50_000, 1_000.0);
+        traced.trace_overhead_pct = Some(1.25);
+        let record = record(
+            "pattern_a",
+            vec![traced, measurement("lt", 50_000, 2_000.0)],
+        );
         let json = record.to_json();
         assert!(json.contains("\"kcycles_per_sec\": 1000, \"trace_overhead_pct\": 1.25}"));
         // Models without a traced measurement keep the bare line.
@@ -405,19 +364,17 @@ mod tests {
 
     #[test]
     fn sync_stats_extend_the_per_model_json_line() {
-        let mut sharded = measurement(model_names::SHARDED_TLM_LA_4X4, 40_000, 5_000.0);
+        let mut sharded = measurement("sharded-tlm-la-4x4", 40_000, 5_000.0);
         sharded.sync = Some(SyncStats {
             barriers: 100,
             stretched: 25,
             cycles_gained: 12_000,
             mean_quantum: 400.0,
         });
-        let record = SpeedBenchRecord {
-            workload: "pattern_shards".to_owned(),
-            transactions_per_master: 100,
-            seed: 1,
-            models: vec![measurement(model_names::TLM, 50_000, 1_000.0), sharded],
-        };
+        let record = record(
+            "pattern_shards",
+            vec![measurement("tlm", 50_000, 1_000.0), sharded],
+        );
         let json = record.to_json();
         // Single-bus lines are unchanged; sharded lines append the
         // scheduler counters after the throughput.
@@ -434,10 +391,12 @@ mod tests {
             workload: "pattern_a".to_owned(),
             transactions_per_master: 1_000,
             seed: 2005,
+            host_cores: 2,
+            threaded: true,
             models: vec![
-                measurement(model_names::RTL, 123_456, 250.5),
-                measurement(model_names::TLM, 123_400, 60_000.0),
-                measurement(model_names::TLM_SINGLE_MASTER, 60_000, 90_000.0),
+                measurement("rtl", 123_456, 250.5),
+                measurement("tlm", 123_400, 60_000.0),
+                measurement("tlm-single-master", 60_000, 90_000.0),
             ],
         };
         let json = record.to_json();
@@ -445,6 +404,7 @@ mod tests {
         assert!(json.contains("\"workload\": \"pattern_a\""));
         // v1-compatible flat keys are derived from the model list.
         assert!(json.contains("\"rtl_cycles\": 123456"));
+        assert!(json.contains("\"host_cores\": 2,\n  \"threaded\": true,"));
         assert!(json.contains("\"tlm_kcycles_per_sec\": 60000"));
         assert!(json.contains("\"paper_reference\""));
         assert!(json.contains("\"speedup\""));
@@ -456,12 +416,7 @@ mod tests {
     fn filtered_record_degrades_missing_models_to_null() {
         // A harness run filtered to the TLM only must still emit valid
         // JSON: every key about unmeasured models becomes null.
-        let record = SpeedBenchRecord {
-            workload: "pattern_a".to_owned(),
-            transactions_per_master: 100,
-            seed: 1,
-            models: vec![measurement(model_names::TLM, 50_000, 1_000.0)],
-        };
+        let record = record("pattern_a", vec![measurement("tlm", 50_000, 1_000.0)]);
         let json = record.to_json();
         assert!(json.contains("\"rtl_cycles\": null"));
         assert!(json.contains("\"rtl_kcycles_per_sec\": null"));

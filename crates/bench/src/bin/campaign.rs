@@ -30,9 +30,8 @@
 use std::path::PathBuf;
 use std::process::exit;
 
-use ahbplus::scenario;
+use ahbplus::{lookup, scenario, ModelSpec};
 use amba::AhbPlusParams;
-use analysis::report::ModelKind;
 use campaign::{Campaign, CampaignServer, CampaignSpec, RunOptions};
 use ddrc::DdrConfig;
 
@@ -120,19 +119,14 @@ fn parse_list<T: std::str::FromStr>(value: &str, what: &str) -> Vec<T> {
         .collect()
 }
 
-fn parse_models(value: &str) -> Vec<ModelKind> {
+fn parse_models(value: &str) -> Vec<&'static ModelSpec> {
     value
         .split(',')
         .map(|id| {
-            let id = id.trim();
-            match ModelKind::ALL.iter().find(|kind| kind.id() == id) {
-                Some(kind) => *kind,
-                None => {
-                    let known: Vec<&str> = ModelKind::ALL.iter().map(|k| k.id()).collect();
-                    eprintln!("unknown model '{id}' (registered: {})", known.join(", "));
-                    exit(2);
-                }
-            }
+            lookup(id.trim()).unwrap_or_else(|error| {
+                eprintln!("{error}");
+                exit(2);
+            })
         })
         .collect()
 }
@@ -154,7 +148,7 @@ fn parse_ddrs(value: &str) -> Vec<(String, DdrConfig)> {
 /// The default table2 design-space lattice: 2 models × 4 seeds × 4
 /// write-buffer depths × 2 DDR variants = 64 points.
 fn build_spec(
-    models: Vec<ModelKind>,
+    models: Vec<&'static ModelSpec>,
     seeds: Vec<u64>,
     depths: Vec<usize>,
     ddrs: Vec<(String, DdrConfig)>,
@@ -186,7 +180,7 @@ fn build_spec(
 
 fn run(args: &[String], resume_only: bool) {
     let mut dir = PathBuf::from(DEFAULT_DIR);
-    let mut models = vec![ModelKind::TransactionLevel, ModelKind::LooselyTimed];
+    let mut models = parse_models("tlm,lt");
     let mut seeds: Vec<u64> = vec![2005, 2006, 2007, 2008];
     let mut depths: Vec<usize> = vec![0, 2, 4, 8];
     let mut ddrs = parse_ddrs("bi,no-bi");

@@ -2,11 +2,11 @@
 //! time per wall-clock second for every model configuration registered with
 //! the speed harness, plus the TL/RTL speed-up factor.
 //!
-//! Model names come from the models themselves (`BusModel::model_name`
-//! plus a variant suffix), so a backend registered in
-//! `ahbplus::speed::standard_models` appears here — and in the emitted
-//! `BENCH_speed.json` (schema `ahbplus-bench-speed/v2`, v1-compatible
-//! keys preserved) — without harness edits.
+//! The rows are the entries of the `ahbplus` model registry, under their
+//! registry names, so a model added there appears here — and in the
+//! emitted `BENCH_speed.json` (schema `ahbplus-bench-speed/v2`,
+//! v1-compatible keys preserved, plus the host's core count and the
+//! threading mode) — without harness edits.
 //!
 //! ```text
 //! cargo run --release -p ahbplus-bench --bin table2_speed \
@@ -26,24 +26,25 @@
 //! enabled and writes the merged event stream as Chrome-trace/Perfetto
 //! JSON (load it at <https://ui.perfetto.dev>).
 
-use ahbplus::scenario;
-use ahbplus::speed::{measure_models_with_reps, standard_models, SPEED_MEASUREMENT_REPS};
-use ahbplus::PlatformConfig;
+use ahbplus::speed::{
+    host_cores, measure_models_with_reps, measurement_threaded, standard_models,
+    SPEED_MEASUREMENT_REPS,
+};
+use ahbplus::{lookup, scenario, ModelSpec, PlatformConfig, MODELS};
 use analysis::model::BusModel;
-use analysis::speed::model_names;
 
-/// Runs the registered configuration named `model` once with tracing
-/// enabled and writes the Perfetto export to `path`.
-fn write_trace(config: &PlatformConfig, model: &str, path: &str, quiet: bool) {
-    let specs = standard_models();
-    let Some(spec) = specs.iter().find(|spec| spec.name(config) == model) else {
-        let known: Vec<String> = specs.iter().map(|spec| spec.name(config)).collect();
-        eprintln!(
-            "--trace-model: unknown model '{model}' (registered: {})",
-            known.join(", ")
-        );
+/// Looks a registry name up, or exits 2 with the registered list.
+fn registered(flag: &str, name: &str) -> &'static ModelSpec {
+    lookup(name).unwrap_or_else(|error| {
+        eprintln!("{flag}: {error}");
         std::process::exit(2);
-    };
+    })
+}
+
+/// Runs the registered configuration `spec` once with tracing enabled
+/// and writes the Perfetto export to `path`.
+fn write_trace(config: &PlatformConfig, spec: &ModelSpec, path: &str, quiet: bool) {
+    let model = spec.id;
     let mut platform = spec.build(config);
     platform.set_tracing(true);
     platform.run();
@@ -75,7 +76,7 @@ fn main() {
     let mut quiet = false;
     let mut reps = SPEED_MEASUREMENT_REPS;
     let mut trace_path: Option<String> = None;
-    let mut trace_model = model_names::SHARDED_TLM_LA_4X4.to_owned();
+    let mut trace_model = "sharded-tlm-la-4x4".to_owned();
     let mut args = std::env::args().skip(1);
     let parse_reps = |value: &str| -> usize {
         match value.parse::<usize>() {
@@ -137,18 +138,30 @@ fn main() {
         }
     }
 
-    let spec = scenario("table2-speed").expect("catalogued speed scenario");
-    let config = spec.resolve().expect("speed scenario resolves");
     if list_models {
-        for spec in standard_models() {
-            println!("{}", spec.name(&config));
+        for spec in &MODELS {
+            println!("{}", spec.id);
         }
         return;
     }
+    // Unknown names fail before anything is measured or printed.
+    for name in filter.iter().flatten() {
+        registered("--models", name);
+    }
+    let trace_spec = trace_path
+        .is_some()
+        .then(|| registered("--trace-model", &trace_model));
+    let spec = scenario("table2-speed").expect("catalogued speed scenario");
+    let config = spec.resolve().expect("speed scenario resolves");
     if !quiet {
         println!(
-            "Simulation speed — {}, {} transactions per master\n",
+            "Simulation speed — {}, {} transactions per master",
             config.pattern.name, config.transactions_per_master
+        );
+        let threaded = measurement_threaded();
+        println!(
+            "host: {} cores, threaded multi-bus models: {threaded}\n",
+            host_cores()
         );
     }
     let record = match measure_models_with_reps(
@@ -202,7 +215,7 @@ fn main() {
             std::process::exit(1);
         }
     }
-    if let Some(path) = trace_path {
-        write_trace(&config, &trace_model, &path, quiet);
+    if let (Some(path), Some(spec)) = (trace_path, trace_spec) {
+        write_trace(&config, spec, &path, quiet);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Replays a saved trace (compact binary `.ahbt` or JSON-lines — the
 //! container is sniffed from the file header, not the extension) or runs
-//! any model registered with the speed harness live with tracing on,
+//! any model of the `ahbplus` registry live with tracing on,
 //! then prints the `analysis::profile` attribution report: per-master /
 //! per-shard latency percentiles, attributed component totals, the
 //! utilization timeline summary and the slowest transactions. Two
@@ -27,7 +27,7 @@
 //! JSON-lines pair from one simulation.
 
 use ahbplus::scenario;
-use ahbplus::speed::standard_models;
+use ahbplus::{lookup, MODELS};
 use analysis::model::BusModel;
 use analysis::profile::{Profile, ProfileBuilder, ProfileDiff, ProfileOptions};
 use analysis::trace::{TraceEvent, TraceLog};
@@ -112,14 +112,7 @@ fn profile_file(path: &str, options: ProfileOptions) -> Profile {
 /// Runs a registered model once with tracing enabled and returns its
 /// merged trace log.
 fn run_model(name: &str, config: &ahbplus::PlatformConfig) -> TraceLog {
-    let specs = standard_models();
-    let Some(spec) = specs.iter().find(|spec| spec.name(config) == name) else {
-        let known: Vec<String> = specs.iter().map(|spec| spec.name(config)).collect();
-        fail_usage(&format!(
-            "unknown model '{name}' (registered: {})",
-            known.join(", ")
-        ));
-    };
+    let spec = lookup(name).unwrap_or_else(|error| fail_usage(&error));
     let mut model = spec.build(config);
     model.set_tracing(true);
     model.run();
@@ -212,8 +205,8 @@ fn main() {
         config.seed = seed;
     }
     if list_models {
-        for spec in standard_models() {
-            println!("{}", spec.name(&config));
+        for spec in &MODELS {
+            println!("{}", spec.id);
         }
         return;
     }

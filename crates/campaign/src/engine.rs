@@ -384,7 +384,7 @@ impl Campaign {
                 CampaignPointRecord {
                     label: point.label,
                     scenario: point.spec.pattern.clone(),
-                    model: point.model.id().to_owned(),
+                    model: point.model.id.to_owned(),
                     seed: point.spec.seed,
                     hash: point.hash,
                     status,
@@ -443,7 +443,7 @@ pub fn execute_point(
         .spec
         .resolve()
         .map_err(|e| message(format!("point '{}': {e}", point.label)))?;
-    let model = config.build_model(point.model);
+    let model = point.model.build(&config);
     let start = Instant::now();
     let report = match (snapshot_stride, timelines_dir) {
         (Some(stride), Some(dir)) if stride > 0 => {
@@ -471,14 +471,13 @@ pub fn execute_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ahbplus::scenario;
-    use analysis::report::ModelKind;
+    use ahbplus::{lookup, scenario};
 
     fn tiny_spec(name: &str) -> CampaignSpec {
         CampaignSpec::new(name)
             .with_scenario(scenario("table1-a").unwrap().with_transactions(6))
-            .with_model(ModelKind::TransactionLevel)
-            .with_model(ModelKind::LooselyTimed)
+            .with_model(lookup("tlm").unwrap())
+            .with_model(lookup("lt").unwrap())
             .with_seeds(vec![1, 2])
     }
 
@@ -577,7 +576,7 @@ mod tests {
         let dir = fresh_dir("timelines");
         let spec = CampaignSpec::new("timelines")
             .with_scenario(scenario("table1-a").unwrap().with_transactions(6))
-            .with_model(ModelKind::TransactionLevel)
+            .with_model(lookup("tlm").unwrap())
             .with_snapshot_stride(500);
         let campaign = Campaign::create(&dir, spec).unwrap();
         campaign.run(RunOptions::default()).unwrap();

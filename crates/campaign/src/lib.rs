@@ -6,7 +6,7 @@
 //! points at milliseconds each instead of minutes of pin-accurate
 //! simulation. This crate is the orchestration layer that turns the
 //! repo's declarative ingredients ([`ahbplus::ScenarioSpec`],
-//! [`ahbplus::Topology`], the `ModelKind` registry, `SnapshotSink`
+//! [`ahbplus::Topology`], the [`ahbplus::registry`], `SnapshotSink`
 //! streaming) into that workflow.
 //!
 //! # Lifecycle: spec → lattice → journal → report
@@ -34,14 +34,13 @@
 //! # Example
 //!
 //! ```
-//! use analysis::report::ModelKind;
 //! use campaign::{Campaign, CampaignSpec, RunOptions};
 //!
 //! let dir = std::env::temp_dir().join("campaign-crate-doc-example");
 //! let _ = std::fs::remove_dir_all(&dir);
 //! let spec = CampaignSpec::new("doc-example")
 //!     .with_scenario(ahbplus::scenario("table1-a").unwrap().with_transactions(5))
-//!     .with_model(ModelKind::TransactionLevel)
+//!     .with_model(ahbplus::lookup("tlm").unwrap())
 //!     .with_seeds(vec![1, 2]);
 //! let campaign = Campaign::create(&dir, spec).unwrap();
 //! let summary = campaign.run(RunOptions { workers: 2, max_points: None }).unwrap();

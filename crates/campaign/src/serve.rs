@@ -7,7 +7,7 @@
 //! deliberately tiny:
 //!
 //! * `GET /healthz` → `{"status":"ok"}`
-//! * `GET /models` → JSON array of model-kind identifiers
+//! * `GET /models` → JSON array of the model registry's names
 //! * `GET /scenarios` → JSON array of the canonical scenario catalogue
 //! * `GET /metrics` → live service counters as Prometheus text
 //!   (requests, active/completed runs, simulated cycles, transactions,
@@ -17,7 +17,8 @@
 //! * `POST /run` → body `{"scenario": <ScenarioSpec>, "model": "tlm",
 //!   "stride": 5000, "trace": true}`. The `scenario` field is a
 //!   canonical [`ScenarioSpec`] object (as served by `/scenarios`);
-//!   `model` is optional (default `tlm`) and may be replaced by
+//!   `model` is optional (default `tlm`; any registry name, an unknown one
+//!   is a 400 naming the registered list) and may be replaced by
 //!   `"topology": <Topology>` to run an explicit multi-bus shape;
 //!   `stride` is optional — when positive, the response streams one
 //!   probe JSON line per `stride` simulated cycles before the final
@@ -51,11 +52,10 @@ use std::time::{Duration, Instant};
 
 use ahbplus::canonical::Canonical;
 use ahbplus::simulation::{JsonLinesSnapshotSink, Simulation, SnapshotSink};
-use ahbplus::{scenario_catalogue, Probe, ScenarioSpec, Topology};
+use ahbplus::{lookup, scenario_catalogue, ModelSpec, Probe, ScenarioSpec, Topology, MODELS};
 use analysis::canon::{parse, CanonValue};
 use analysis::jsonfmt::escape_json;
 use analysis::profile::{Profile, ProfileOptions};
-use analysis::report::ModelKind;
 use analysis::trace::{LatencyHistogram, TraceEventKind, TraceLog};
 use simkern::time::CycleDelta;
 
@@ -320,8 +320,7 @@ fn handle_connection(mut stream: TcpStream, metrics: &ServerMetrics) {
     let outcome = match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => respond_json(&mut stream, "{\"status\":\"ok\"}"),
         ("GET", "/models") => {
-            let models =
-                CanonValue::Array(ModelKind::ALL.iter().map(Canonical::to_canon).collect());
+            let models = CanonValue::Array(MODELS.iter().map(|spec| spec.to_canon()).collect());
             respond_json(&mut stream, &models.to_canonical_json())
         }
         ("GET", "/scenarios") => {
@@ -459,7 +458,7 @@ struct RunRequest {
 
 #[derive(Debug)]
 enum RunBackend {
-    Kind(ModelKind),
+    Model(&'static ModelSpec),
     Topology(Topology),
 }
 
@@ -481,9 +480,9 @@ impl RunRequest {
                 Topology::from_canon(topology).map_err(|e| format!("topology: {e}"))?,
             )
         } else if let Some(model) = map.get("model") {
-            RunBackend::Kind(ModelKind::from_canon(model).map_err(|e| format!("model: {e}"))?)
+            RunBackend::Model(<&ModelSpec>::from_canon(model).map_err(|e| format!("model: {e}"))?)
         } else {
-            RunBackend::Kind(ModelKind::TransactionLevel)
+            RunBackend::Model(lookup("tlm").expect("tlm is registered"))
         };
         let stride = match map.get("stride") {
             None => 0,
@@ -506,7 +505,7 @@ impl RunRequest {
 
     fn hash(&self) -> String {
         match &self.backend {
-            RunBackend::Kind(kind) => point_hash(&self.spec, *kind),
+            RunBackend::Model(model) => point_hash(&self.spec, model),
             RunBackend::Topology(topology) => topology_point_hash(&self.spec, topology),
         }
     }
@@ -556,7 +555,7 @@ fn stream_run(stream: &mut TcpStream, run: &RunRequest, metrics: &ServerMetrics)
         .resolve()
         .expect("request validation already resolved the spec");
     let mut model: Box<dyn analysis::BusModel> = match &run.backend {
-        RunBackend::Kind(kind) => config.build_model(*kind),
+        RunBackend::Model(model) => model.build(&config),
         RunBackend::Topology(topology) => Box::new(config.build_topology(topology.clone())),
     };
     if run.trace {
@@ -625,7 +624,10 @@ fn stream_run(stream: &mut TcpStream, run: &RunRequest, metrics: &ServerMetrics)
          \"point_hash\": \"{}\", \"cycles\": {}, \"transactions\": {}, \
          \"bytes\": {}, \"wall_micros\": {wall_micros}{traced}}}",
         escape_json(&run.spec.name),
-        report.model.id(),
+        match run.backend {
+            RunBackend::Model(model) => model.id,
+            RunBackend::Topology(_) => report.model.id(),
+        },
         run.hash(),
         report.total_cycles,
         report.total_transactions(),
@@ -651,7 +653,7 @@ mod tests {
         let run = RunRequest::parse(body.as_bytes()).unwrap();
         assert_eq!(run.stride, 500);
         assert!(!run.trace);
-        assert_eq!(run.hash(), point_hash(&spec, ModelKind::LooselyTimed));
+        assert_eq!(run.hash(), point_hash(&spec, lookup("lt").unwrap()));
 
         let traced = format!(
             "{{\"scenario\": {}, \"trace\": true}}",
@@ -661,10 +663,7 @@ mod tests {
 
         let default_model = format!("{{\"scenario\": {}}}", spec.to_canon().to_canonical_json());
         let run = RunRequest::parse(default_model.as_bytes()).unwrap();
-        assert!(matches!(
-            run.backend,
-            RunBackend::Kind(ModelKind::TransactionLevel)
-        ));
+        assert!(matches!(run.backend, RunBackend::Model(model) if model.id == "tlm"));
         assert_eq!(run.stride, 0);
 
         let with_topology = format!(

@@ -4,7 +4,7 @@
 //! sweep: a set of base [`ScenarioSpec`]s crossed with a model axis and
 //! optional seed / bus-parameter / DDR axes. [`CampaignSpec::expand`]
 //! takes the cartesian product and yields one [`RunPoint`] per lattice
-//! point, each carrying the fully resolved scenario, the model kind and
+//! point, each carrying the fully resolved scenario, the registry model and
 //! the *content hash* that identifies the experiment.
 //!
 //! The hash deliberately covers the label-free view of the point — the
@@ -16,10 +16,9 @@
 use std::collections::BTreeMap;
 
 use ahbplus::canonical::Canonical;
-use ahbplus::{ScenarioSpec, Topology};
+use ahbplus::{ModelSpec, ScenarioSpec, Topology};
 use amba::AhbPlusParams;
 use analysis::canon::{content_hash_hex, CanonError, CanonValue};
-use analysis::report::ModelKind;
 use ddrc::DdrConfig;
 
 /// A declarative design-space sweep: scenarios × models × optional axes.
@@ -29,8 +28,8 @@ pub struct CampaignSpec {
     pub name: String,
     /// Base scenarios (each already carries params, DDR, seed, length).
     pub scenarios: Vec<ScenarioSpec>,
-    /// Model axis: every scenario runs on each of these backends.
-    pub models: Vec<ModelKind>,
+    /// Model axis: every scenario runs on each of these registry entries.
+    pub models: Vec<&'static ModelSpec>,
     /// Seed axis; empty keeps each scenario's own seed.
     pub seeds: Vec<u64>,
     /// Named bus-parameter variants; empty keeps each scenario's params.
@@ -66,7 +65,7 @@ impl CampaignSpec {
 
     /// Adds a model to the model axis.
     #[must_use]
-    pub fn with_model(mut self, model: ModelKind) -> Self {
+    pub fn with_model(mut self, model: &'static ModelSpec) -> Self {
         self.models.push(model);
         self
     }
@@ -120,7 +119,7 @@ impl CampaignSpec {
                     for ddr in axis(&self.ddrs) {
                         for seed in seed_axis(&self.seeds) {
                             let mut spec = scenario.clone();
-                            let mut label = format!("{}/{}", scenario.name, model.id());
+                            let mut label = format!("{}/{}", scenario.name, model.id);
                             if let Some((name, value)) = params {
                                 spec.params = value.clone();
                                 label.push('/');
@@ -136,11 +135,11 @@ impl CampaignSpec {
                                 label.push_str(&format!("/s{seed}"));
                             }
                             spec.name = label.clone();
-                            let hash = point_hash(&spec, *model);
+                            let hash = point_hash(&spec, model);
                             points.push(RunPoint {
                                 label,
                                 spec,
-                                model: *model,
+                                model,
                                 hash,
                             });
                         }
@@ -266,7 +265,7 @@ impl Canonical for CampaignSpec {
             .as_array()
             .map_err(|e| e.within("models"))?
             .iter()
-            .map(ModelKind::from_canon)
+            .map(<&ModelSpec>::from_canon)
             .collect::<Result<Vec<_>, _>>()
             .map_err(|e| e.within("models"))?;
         let seeds = value
@@ -324,8 +323,8 @@ pub struct RunPoint {
     pub label: String,
     /// The fully resolved scenario (seed/params/DDR axes applied).
     pub spec: ScenarioSpec,
-    /// The backend to run the point on.
-    pub model: ModelKind,
+    /// The registry entry to run the point on.
+    pub model: &'static ModelSpec,
     /// Content hash identifying the experiment (label-free).
     pub hash: String,
 }
@@ -333,7 +332,7 @@ pub struct RunPoint {
 /// The canonical, label-free encoding a point is hashed over: the
 /// scenario with its `name` removed, plus the model identifier.
 #[must_use]
-pub fn point_canon(spec: &ScenarioSpec, model: ModelKind) -> CanonValue {
+pub fn point_canon(spec: &ScenarioSpec, model: &'static ModelSpec) -> CanonValue {
     let mut map = match spec.to_canon() {
         CanonValue::Map(map) => map,
         _ => unreachable!("ScenarioSpec encodes as a map"),
@@ -347,12 +346,12 @@ pub fn point_canon(spec: &ScenarioSpec, model: ModelKind) -> CanonValue {
 
 /// The content hash of a (spec, seed, params, model) point.
 #[must_use]
-pub fn point_hash(spec: &ScenarioSpec, model: ModelKind) -> String {
+pub fn point_hash(spec: &ScenarioSpec, model: &'static ModelSpec) -> String {
     content_hash_hex(&point_canon(spec, model))
 }
 
 /// The hash of a point defined by an explicit [`Topology`] instead of a
-/// registered model kind (the serve mode accepts raw topologies): the
+/// registered model (the serve mode accepts raw topologies): the
 /// topology's canonical encoding replaces the model tag.
 #[must_use]
 pub fn topology_point_hash(spec: &ScenarioSpec, topology: &Topology) -> String {
@@ -370,8 +369,12 @@ pub fn topology_point_hash(spec: &ScenarioSpec, topology: &Topology) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ahbplus::scenario;
+    use ahbplus::{lookup, scenario};
     use std::collections::BTreeSet;
+
+    fn model(id: &str) -> &'static ModelSpec {
+        lookup(id).expect("registered")
+    }
 
     fn base() -> ScenarioSpec {
         scenario("table2-speed").unwrap().with_transactions(20)
@@ -380,8 +383,8 @@ mod tests {
     fn spec() -> CampaignSpec {
         CampaignSpec::new("unit")
             .with_scenario(base())
-            .with_model(ModelKind::TransactionLevel)
-            .with_model(ModelKind::LooselyTimed)
+            .with_model(model("tlm"))
+            .with_model(model("lt"))
             .with_seeds(vec![1, 2, 3])
             .with_params_variant("wb0", AhbPlusParams::ahb_plus().with_write_buffer_depth(0))
             .with_params_variant("wb8", AhbPlusParams::ahb_plus().with_write_buffer_depth(8))
@@ -407,7 +410,7 @@ mod tests {
     fn empty_axes_keep_the_scenario_defaults() {
         let campaign = CampaignSpec::new("minimal")
             .with_scenario(base())
-            .with_model(ModelKind::TransactionLevel);
+            .with_model(model("tlm"));
         let points = campaign.expand();
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].spec.seed, base().seed);
@@ -419,18 +422,15 @@ mod tests {
     fn point_hash_ignores_the_label_but_nothing_else() {
         let a = base();
         let b = base().named("same-experiment-different-name");
-        let model = ModelKind::TransactionLevel;
-        assert_eq!(point_hash(&a, model), point_hash(&b, model));
+        let tlm = model("tlm");
+        assert_eq!(point_hash(&a, tlm), point_hash(&b, tlm));
         assert_ne!(
-            point_hash(&a, model),
-            point_hash(&a.clone().with_seed(99), model)
+            point_hash(&a, tlm),
+            point_hash(&a.clone().with_seed(99), tlm)
         );
+        assert_ne!(point_hash(&a, tlm), point_hash(&a, model("lt")));
         assert_ne!(
-            point_hash(&a, model),
-            point_hash(&a, ModelKind::LooselyTimed)
-        );
-        assert_ne!(
-            point_hash(&a, model),
+            point_hash(&a, tlm),
             topology_point_hash(&a, &Topology::het_2x2())
         );
         assert_ne!(
@@ -440,10 +440,18 @@ mod tests {
     }
 
     #[test]
+    fn point_hash_of_a_registry_entry_is_pinned() {
+        // The hash covers the registry name, so it must not move when the
+        // registry's representation does: a changed value would orphan
+        // every cached result.
+        assert_eq!(point_hash(&base(), model("tlm")), "63b7c9d324ad854b");
+    }
+
+    #[test]
     fn duplicate_axis_entries_collapse_to_the_same_hash() {
         let campaign = CampaignSpec::new("dupes")
             .with_scenario(base())
-            .with_model(ModelKind::TransactionLevel)
+            .with_model(model("tlm"))
             .with_seeds(vec![5, 5, 5]);
         let points = campaign.expand();
         assert_eq!(points.len(), 3);
@@ -464,14 +472,14 @@ mod tests {
     fn validation_names_the_failing_axis_or_point() {
         let no_models = CampaignSpec::new("x").with_scenario(base());
         assert!(no_models.validate().unwrap_err().contains("no models"));
-        let no_scenarios = CampaignSpec::new("x").with_model(ModelKind::TransactionLevel);
+        let no_scenarios = CampaignSpec::new("x").with_model(model("tlm"));
         assert!(no_scenarios
             .validate()
             .unwrap_err()
             .contains("no scenarios"));
         let bad_pattern = CampaignSpec::new("x")
             .with_scenario(ScenarioSpec::new("broken", "no-such-pattern", 5, 1))
-            .with_model(ModelKind::TransactionLevel);
+            .with_model(model("tlm"));
         let message = bad_pattern.validate().unwrap_err();
         assert!(message.contains("broken"), "{message}");
         assert!(message.contains("no-such-pattern"), "{message}");

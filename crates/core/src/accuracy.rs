@@ -4,8 +4,8 @@
 //! Table 1 of the paper compares *two* abstraction levels on a handful of
 //! traffic patterns. With the model spectrum generalized behind
 //! [`BusModel`], the experiment generalizes too: for
-//! every ordered pair of [`ModelKind`]s (more-accurate model as the
-//! reference) and every catalogue scenario, run the two backends in
+//! every ordered pair of the registry's [`spectrum`] (more-accurate model
+//! as the reference) and every catalogue scenario, run the two backends in
 //! lockstep on identical stimulus, record the first observable divergence
 //! horizon, verify the end-of-run results match, and compute per-counter
 //! error percentages. The result packs into an
@@ -15,9 +15,9 @@
 
 use analysis::accuracy::{AccuracyBenchRecord, ModelComparison};
 use analysis::model::{BusModel, Probe};
-use analysis::report::ModelKind;
 use simkern::time::{Cycle, CycleDelta};
 
+use crate::registry::{spectrum, ModelSpec};
 use crate::scenario::{scenario_catalogue, ScenarioSpec};
 use crate::simulation::run_lockstep;
 
@@ -29,11 +29,11 @@ pub const ACCURACY_LOCKSTEP_STRIDE: u64 = 256;
 /// Every ordered backend pair of the spectrum: the more timing-accurate
 /// kind first (the reference the error is measured against).
 #[must_use]
-pub fn model_pairs() -> Vec<(ModelKind, ModelKind)> {
-    let kinds = ModelKind::ALL;
+pub fn model_pairs() -> Vec<(&'static ModelSpec, &'static ModelSpec)> {
+    let models: Vec<&'static ModelSpec> = spectrum().collect();
     let mut pairs = Vec::new();
-    for (i, &reference) in kinds.iter().enumerate() {
-        for &candidate in &kinds[i + 1..] {
+    for (i, &reference) in models.iter().enumerate() {
+        for &candidate in &models[i + 1..] {
             pairs.push((reference, candidate));
         }
     }
@@ -48,14 +48,14 @@ pub fn model_pairs() -> Vec<(ModelKind, ModelKind)> {
 #[must_use]
 pub fn compare_pair_on(
     spec: &ScenarioSpec,
-    reference: ModelKind,
-    candidate: ModelKind,
+    reference: &ModelSpec,
+    candidate: &ModelSpec,
 ) -> ModelComparison {
     let config = spec
         .resolve()
         .unwrap_or_else(|e| panic!("scenario '{}' must resolve: {e}", spec.name));
-    let mut a = config.build_model(reference);
-    let mut b = config.build_model(candidate);
+    let mut a = reference.build(&config);
+    let mut b = candidate.build(&config);
     let outcome = run_lockstep(
         a.as_mut(),
         b.as_mut(),
@@ -63,8 +63,8 @@ pub fn compare_pair_on(
     );
     ModelComparison::from_probes(
         &spec.name,
-        reference.id(),
-        candidate.id(),
+        reference.id,
+        candidate.id,
         &a.probe(),
         &b.probe(),
     )
@@ -92,8 +92,8 @@ fn probe_stream(model: &mut dyn BusModel, stride: CycleDelta) -> Vec<Probe> {
 /// `run_until` on a finished model.
 fn compare_streams(
     scenario: &str,
-    reference: ModelKind,
-    candidate: ModelKind,
+    reference: &ModelSpec,
+    candidate: &ModelSpec,
     stride: CycleDelta,
     a: &[Probe],
     b: &[Probe],
@@ -108,7 +108,7 @@ fn compare_streams(
             break;
         }
     }
-    ModelComparison::from_probes(scenario, reference.id(), candidate.id(), &last(a), &last(b))
+    ModelComparison::from_probes(scenario, reference.id, candidate.id, &last(a), &last(b))
         .with_divergence(divergence)
 }
 
@@ -139,16 +139,12 @@ pub fn measure_accuracy_record(max_transactions: Option<usize>) -> AccuracyBench
             _ => spec,
         })
         .collect();
-    let run_scenario = |spec: &ScenarioSpec| -> Vec<(ModelKind, Vec<Probe>)> {
+    let run_scenario = |spec: &ScenarioSpec| -> Vec<(&'static ModelSpec, Vec<Probe>)> {
         let config = spec
             .resolve()
             .unwrap_or_else(|e| panic!("scenario '{}' must resolve: {e}", spec.name));
-        ModelKind::ALL
-            .iter()
-            .map(|&kind| {
-                let mut model = config.build_model(kind);
-                (kind, probe_stream(model.as_mut(), stride))
-            })
+        spectrum()
+            .map(|spec| (spec, probe_stream(spec.build(&config).as_mut(), stride)))
             .collect()
     };
     let workers = std::thread::available_parallelism()
@@ -156,24 +152,27 @@ pub fn measure_accuracy_record(max_transactions: Option<usize>) -> AccuracyBench
         .min(specs.len())
         .max(1);
     let chunk_size = specs.len().div_ceil(workers);
-    let streams_per_scenario: Vec<Vec<(ModelKind, Vec<Probe>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .chunks(chunk_size)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(run_scenario).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|worker| worker.join().expect("scenario worker must not panic"))
-            .collect()
-    });
+    let streams_per_scenario: Vec<Vec<(&'static ModelSpec, Vec<Probe>)>> =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = specs
+                .chunks(chunk_size)
+                .map(|chunk| {
+                    scope.spawn(move || chunk.iter().map(run_scenario).collect::<Vec<_>>())
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|worker| worker.join().expect("scenario worker must not panic"))
+                .collect()
+        });
     let mut comparisons = Vec::new();
     for (spec, streams) in specs.iter().zip(streams_per_scenario) {
         for (i, (reference, ref_stream)) in streams.iter().enumerate() {
             for (candidate, cand_stream) in &streams[i + 1..] {
                 comparisons.push(compare_streams(
                     &spec.name,
-                    *reference,
-                    *candidate,
+                    reference,
+                    candidate,
                     stride,
                     ref_stream,
                     cand_stream,
@@ -187,7 +186,12 @@ pub fn measure_accuracy_record(max_transactions: Option<usize>) -> AccuracyBench
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::lookup;
     use crate::scenario;
+
+    fn model(id: &str) -> &'static ModelSpec {
+        lookup(id).expect("registered")
+    }
 
     #[test]
     fn model_pairs_cover_the_spectrum_in_accuracy_order() {
@@ -195,17 +199,15 @@ mod tests {
         // Nine spectrum points → C(9, 2) ordered pairs, more-accurate
         // model first.
         assert_eq!(pairs.len(), 36);
-        assert_eq!(
-            pairs[0],
-            (ModelKind::PinAccurateRtl, ModelKind::TransactionLevel)
-        );
-        assert!(pairs.contains(&(ModelKind::PinAccurateRtl, ModelKind::ShardedTlm)));
-        assert!(pairs.contains(&(ModelKind::TransactionLevel, ModelKind::ShardedTlm)));
-        assert!(pairs.contains(&(ModelKind::ShardedTlm, ModelKind::ShardedLt)));
-        assert!(pairs.contains(&(ModelKind::ShardedTlm, ModelKind::ShardedTlmReads)));
-        assert!(pairs.contains(&(ModelKind::ShardedSkew, ModelKind::ShardedHet)));
-        for (reference, candidate) in pairs {
-            let position = |kind| ModelKind::ALL.iter().position(|&k| k == kind).unwrap();
+        let ids: Vec<(&str, &str)> = pairs.iter().map(|(a, b)| (a.id, b.id)).collect();
+        assert_eq!(ids[0], ("rtl", "tlm"));
+        assert!(ids.contains(&("rtl", "sharded-tlm")));
+        assert!(ids.contains(&("tlm", "sharded-tlm")));
+        assert!(ids.contains(&("sharded-tlm", "sharded-lt")));
+        assert!(ids.contains(&("sharded-tlm", "sharded-tlm-reads")));
+        assert!(ids.contains(&("sharded-skew", "sharded-het")));
+        let position = |id| spectrum().position(|spec| spec.id == id).unwrap();
+        for (reference, candidate) in ids {
             assert!(position(reference) < position(candidate));
         }
     }
@@ -215,7 +217,7 @@ mod tests {
         let spec = scenario("table1-a")
             .expect("catalogued")
             .with_transactions(25);
-        let cmp = compare_pair_on(&spec, ModelKind::TransactionLevel, ModelKind::LooselyTimed);
+        let cmp = compare_pair_on(&spec, model("tlm"), model("lt"));
         assert_eq!(cmp.reference, "tlm");
         assert_eq!(cmp.candidate, "lt");
         assert!(cmp.results_match, "{}", cmp.format_table());
@@ -228,16 +230,16 @@ mod tests {
         let spec = scenario("table1-c")
             .expect("catalogued")
             .with_transactions(30);
-        let lockstepped =
-            compare_pair_on(&spec, ModelKind::TransactionLevel, ModelKind::LooselyTimed);
+        let (tlm_spec, lt_spec) = (model("tlm"), model("lt"));
+        let lockstepped = compare_pair_on(&spec, tlm_spec, lt_spec);
         let config = spec.resolve().expect("resolves");
         let stride = CycleDelta::new(ACCURACY_LOCKSTEP_STRIDE);
-        let mut tlm = config.build_model(ModelKind::TransactionLevel);
-        let mut lt = config.build_model(ModelKind::LooselyTimed);
+        let mut tlm = tlm_spec.build(&config);
+        let mut lt = lt_spec.build(&config);
         let streamed = compare_streams(
             &spec.name,
-            ModelKind::TransactionLevel,
-            ModelKind::LooselyTimed,
+            tlm_spec,
+            lt_spec,
             stride,
             &probe_stream(tlm.as_mut(), stride),
             &probe_stream(lt.as_mut(), stride),

@@ -11,7 +11,7 @@
 //!   *renamed* field changes the canonical bytes — and the hash — while
 //!   re-ordered JSON objects do not (maps canonicalize key-sorted);
 //! * enums encode as their stable string identifiers (`HSize` widths,
-//!   arbitration filter names, `ModelKind::id`, shard backends);
+//!   arbitration filter names, registry model names, shard backends);
 //! * decode errors name the offending field path, so a malformed serve
 //!   request fails with "params: arbiter: unknown arbitration filter…"
 //!   instead of a bare type error.
@@ -20,8 +20,8 @@
 //! implementation and is locked in by the tests at the bottom.
 
 use analysis::canon::{CanonError, CanonValue};
-use analysis::report::ModelKind;
 
+use crate::registry::{lookup, ModelSpec};
 use crate::scenario::ScenarioSpec;
 use ahb_multi::topology::{ShardSet, WindowSpec};
 use ahb_multi::{BridgeConfig, ShardBackendKind, Topology};
@@ -261,17 +261,13 @@ impl Canonical for DdrConfig {
     }
 }
 
-impl Canonical for ModelKind {
+impl Canonical for &'static ModelSpec {
     fn to_canon(&self) -> CanonValue {
-        CanonValue::str(self.id())
+        CanonValue::str(self.id)
     }
 
     fn from_canon(value: &CanonValue) -> Result<Self, CanonError> {
-        let text = value.as_str()?;
-        ModelKind::ALL
-            .into_iter()
-            .find(|kind| kind.id() == text)
-            .ok_or_else(|| CanonError::new(format!("unknown model kind '{text}'")))
+        lookup(value.as_str()?).map_err(CanonError::new)
     }
 }
 
@@ -601,8 +597,8 @@ mod tests {
         round_trip(&DdrTiming::ddr_200_slow());
         round_trip(&DdrGeometry::eight_bank_2k());
         round_trip(&ArbiterConfig::plain_ahb_fixed_priority());
-        for kind in ModelKind::ALL {
-            round_trip(&kind);
+        for spec in &crate::registry::MODELS {
+            round_trip(&spec);
         }
     }
 

@@ -92,7 +92,10 @@
 //!
 //! * [`platform`] — a single [`PlatformConfig`] describing bus parameters,
 //!   DDR device, traffic pattern and workload size, from which **every**
-//!   abstraction level (or a boxed [`BusModel`] of any) is built.
+//!   abstraction level is built.
+//! * [`registry`] — the one table of runnable models ([`MODELS`]): a
+//!   name, a fidelity and an optional workload override per entry, each
+//!   building a boxed [`BusModel`] from a [`PlatformConfig`].
 //! * [`mod@scenario`] — declarative [`ScenarioSpec`]s plus the
 //!   named-scenario catalogue: experiments as data, resolved to platforms
 //!   on demand.
@@ -122,23 +125,21 @@
 //!    the trait docs for the contract; `ahb-lt` is the smallest worked
 //!    example, `ahb-multi` the worked example of a *composite* backend
 //!    that aggregates other backends' probes);
-//! 2. add a [`ModelKind`] variant with a unique `id()` and a
-//!    [`PlatformConfig::build_model`] arm so scenarios resolve to it;
-//! 3. register a builder in [`speed::standard_models`].
+//! 2. add one entry to [`registry::MODELS`]: a name, a
+//!    [`registry::Fidelity`] and, for a scaling configuration, a
+//!    [`registry::WorkloadOverride`].
 //!
-//! That registration is the whole integration: the backend then appears
-//! in `table2_speed`, `BENCH_speed.json`, `BENCH_accuracy.json` (with
-//! its lockstep results-match gate enforced by CI), the examples and the
-//! scenario-driven tests, with zero harness edits. The sharded platforms
-//! (`ModelKind::ShardedTlm` / `ModelKind::ShardedLt`) went in exactly
-//! this way — `PlatformConfig::build_sharded` partitions the pattern's
-//! masters round-robin over two bridged shards — and so did the topology
-//! configurations (`ModelKind::ShardedHet` / `ShardedTlmReads` /
-//! `ShardedSkew`, one canonical `Topology` value each behind
-//! `PlatformConfig::build_topology`). The dedicated multi-bus scaling
-//! configurations (`sharded-tlm-4x4`, `sharded-lt-4x16`,
-//! `sharded-tlm-reads-4x4`, over `traffic::pattern_shards`) are
-//! speed-harness variants.
+//! That entry is the whole integration: the model then appears in
+//! `table2_speed`, `BENCH_speed.json`, `trace_report`, `campaign` and
+//! `campaign serve`, and — when it runs the scenario's own traffic — in
+//! `BENCH_accuracy.json` (with its lockstep results-match gate enforced by
+//! CI) and the examples, with zero harness edits. A new multi-bus shape is
+//! the same single step: an entry whose fidelity names a
+//! [`Topology`] (the sharded, heterogeneous, non-posted-read and
+//! skewed-window platforms are all entries of that kind), plus a
+//! `traffic::pattern_shards` override for the dedicated scaling
+//! configurations such as `sharded-tlm-4x4`. The label a backend stamps on
+//! its [`SimReport`] stays a [`ModelKind`].
 //!
 //! # Quick start
 //!
@@ -333,6 +334,7 @@
 pub mod accuracy;
 pub mod canonical;
 pub mod platform;
+pub mod registry;
 pub mod scenario;
 pub mod simulation;
 pub mod speed;
@@ -341,15 +343,13 @@ pub mod validation;
 pub use accuracy::{compare_pair_on, measure_accuracy_record, model_pairs};
 pub use canonical::Canonical;
 pub use platform::PlatformConfig;
+pub use registry::{lookup, ModelSpec, MODELS};
 pub use scenario::{scenario, scenario_catalogue, ScenarioError, ScenarioSpec};
 pub use simulation::{
     run_lockstep, run_lockstep_traced, CsvSnapshotSink, Divergence, JsonLinesSnapshotSink,
     LockstepReport, Simulation, SnapshotSink, TraceDiff,
 };
-pub use speed::{
-    measure_models, measure_models_with_reps, measure_speed, measure_speed_record, standard_models,
-    ModelSpec,
-};
+pub use speed::{measure_models, measure_models_with_reps, standard_models};
 pub use validation::{validate_pattern, validate_table1, Table1};
 
 // Re-export the building blocks so downstream users need only one

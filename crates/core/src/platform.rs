@@ -1,12 +1,11 @@
 //! Platform configuration and construction of every abstraction level.
 
 use ahb_lt::{LtConfig, LtSystem};
-use ahb_multi::{partition_round_robin, MultiConfig, MultiSystem, ShardBackendKind, Topology};
+use ahb_multi::{partition_round_robin, MultiConfig, MultiSystem, Topology};
 use ahb_rtl::{RtlConfig, RtlSystem};
 use ahb_tlm::{TlmConfig, TlmSystem};
 use amba::params::AhbPlusParams;
-use analysis::model::BusModel;
-use analysis::report::{ModelKind, SimReport};
+use analysis::report::SimReport;
 use ddrc::DdrConfig;
 use traffic::TrafficPattern;
 
@@ -149,31 +148,18 @@ impl PlatformConfig {
         )
     }
 
-    /// Number of bus shards [`PlatformConfig::build_sharded`] splits a
-    /// single-bus platform into.
+    /// Number of bus shards a uniform topology splits a single-bus
+    /// platform into.
     pub const DEFAULT_SHARDS: usize = 2;
-
-    /// Builds the multi-bus system: the pattern's masters are partitioned
-    /// round-robin over [`PlatformConfig::DEFAULT_SHARDS`] shards of the
-    /// given backend, connected by AHB-to-AHB bridges (single-threaded
-    /// deterministic mode — the reference the threaded mode is verified
-    /// against). The same workload expansion runs on the same master ids,
-    /// so the sharded platform completes exactly the work of the
-    /// single-bus platform; masters whose regions decode to the other
-    /// shard's windows generate genuine bridge traffic.
-    #[must_use]
-    pub fn build_sharded(&self, backend: ShardBackendKind) -> MultiSystem {
-        self.build_topology(Topology::uniform(backend))
-    }
 
     /// Builds the multi-bus system of an arbitrary declarative
     /// [`Topology`]: the pattern's masters are partitioned round-robin
     /// over the topology's shard count (or
     /// [`PlatformConfig::DEFAULT_SHARDS`] when the topology is uniform),
     /// and the platform inherits this configuration's bus parameters, DDR
-    /// device and cycle limit. This is the one constructor behind every
-    /// sharded [`ModelKind`] — heterogeneous, non-posted-read and
-    /// skewed-window platforms are just different topology values.
+    /// device and cycle limit. It runs in the single-threaded reference
+    /// mode; registry entries pick their own policy through
+    /// [`PlatformConfig::build_multi`].
     #[must_use]
     pub fn build_topology(&self, topology: Topology) -> MultiSystem {
         self.build_multi(&self.multi_config(topology))
@@ -207,37 +193,6 @@ impl PlatformConfig {
         MultiSystem::from_shard_patterns(config, &parts, self.transactions_per_master, self.seed)
     }
 
-    /// Builds the system of the given abstraction level behind the
-    /// unified [`BusModel`] interface.
-    ///
-    /// Registry and sweep code that treats backends uniformly uses this;
-    /// hot-loop call sites keep the concrete [`PlatformConfig::build_tlm`]
-    /// / [`PlatformConfig::build_rtl`] builders (generics at the driver
-    /// boundary, `dyn` only at the selection boundary — the simulation
-    /// loops themselves are monomorphized either way).
-    #[must_use]
-    pub fn build_model(&self, kind: ModelKind) -> Box<dyn BusModel> {
-        match kind {
-            ModelKind::PinAccurateRtl => Box::new(self.build_rtl()),
-            ModelKind::TransactionLevel => Box::new(self.build_tlm()),
-            ModelKind::LooselyTimed => Box::new(self.build_lt()),
-            ModelKind::ShardedTlm => Box::new(self.build_sharded(ShardBackendKind::Tlm)),
-            ModelKind::ShardedTlmLa => Box::new(
-                self.build_multi(
-                    &self
-                        .multi_config(Topology::uniform(ShardBackendKind::Tlm))
-                        .with_lookahead(true),
-                ),
-            ),
-            ModelKind::ShardedLt => Box::new(self.build_sharded(ShardBackendKind::Lt)),
-            ModelKind::ShardedHet => Box::new(self.build_topology(Topology::het_2x2())),
-            ModelKind::ShardedTlmReads => {
-                Box::new(self.build_topology(Topology::tlm_non_posted_reads()))
-            }
-            ModelKind::ShardedSkew => Box::new(self.build_topology(Topology::tlm_skewed_windows())),
-        }
-    }
-
     /// Builds and runs the transaction-level system.
     #[must_use]
     pub fn run_tlm(&self) -> SimReport {
@@ -255,6 +210,7 @@ impl PlatformConfig {
 mod tests {
     use super::*;
     use amba::arbitration::ArbiterConfig;
+    use analysis::model::BusModel;
     use traffic::pattern_a;
 
     #[test]
@@ -299,12 +255,11 @@ mod tests {
     #[test]
     fn build_model_yields_every_backend_behind_the_trait() {
         let config = PlatformConfig::new(pattern_a(), 10, 5);
-        for kind in ModelKind::ALL {
-            let mut model = config.build_model(kind);
-            assert_eq!(model.kind(), kind);
-            assert_eq!(model.model_name(), kind.id());
+        for spec in crate::registry::spectrum() {
+            let mut model = spec.build(&config);
+            assert_eq!(model.model_name(), spec.id);
             let report = model.run();
-            assert_eq!(report.model, kind);
+            assert_eq!(report.model, model.kind());
             assert_eq!(report.total_transactions(), 4 * 10);
             assert!(model.finished());
         }

@@ -567,8 +567,8 @@ mod tests {
 
     #[test]
     fn lockstep_accepts_trait_objects() {
-        let mut a = config().build_model(analysis::ModelKind::TransactionLevel);
-        let mut b = config().build_model(analysis::ModelKind::LooselyTimed);
+        let mut a = crate::lookup("tlm").unwrap().build(&config());
+        let mut b = crate::lookup("lt").unwrap().build(&config());
         let outcome = run_lockstep(a.as_mut(), b.as_mut(), CycleDelta::new(256));
         assert!(outcome.results_match, "{}", outcome.summary());
     }

@@ -75,7 +75,7 @@ fn main() {
     // owns execution order, journaling, the result cache and the
     // streamed per-point timelines.
     let mut spec = CampaignSpec::new("design-space-example")
-        .with_model(ahbplus::ModelKind::TransactionLevel)
+        .with_model(ahbplus::lookup("tlm").expect("registered"))
         .with_snapshot_stride(2_000);
     let sections = sweep();
     for (_, points) in &sections {

@@ -10,7 +10,8 @@
 //! cargo run --release -p ahbplus-repro --example quickstart
 //! ```
 
-use ahbplus::{scenario, ModelKind, Simulation};
+use ahbplus::registry::spectrum;
+use ahbplus::{scenario, Simulation};
 use simkern::time::CycleDelta;
 
 fn main() {
@@ -56,25 +57,23 @@ fn main() {
     );
 
     // The model spectrum: the same scenario, every abstraction level,
-    // one loop — `ModelKind::ALL` orders them from most timing-accurate
-    // (`rtl`) to the multi-bus platforms (`sharded-tlm`/`sharded-lt`,
-    // which split the same masters over two bridged buses). The
-    // completed work is identical on every point; wall-clock time and
+    // one loop — the registry's spectrum orders them from most
+    // timing-accurate (`rtl`) to the multi-bus platforms (`sharded-tlm`,
+    // `sharded-lt`, ..., which split the same masters over bridged buses).
+    // The completed work is identical on every point; wall-clock time and
     // timing-derived counters are where they differ. A further backend
-    // would appear here (and in every benchmark artifact) by
-    // implementing `BusModel` and registering in
-    // `ahbplus::speed::standard_models`.
+    // would appear here (and in every benchmark artifact) by implementing
+    // `BusModel` and adding one entry to `ahbplus::registry::MODELS`.
     println!("\n== the same scenario across the model spectrum ==");
     println!(
-        "{:<12} {:>10} {:>12} {:>12} {:>14}",
+        "{:<18} {:>10} {:>12} {:>12} {:>14}",
         "model", "txns", "cycles", "busy", "Kcycles/s"
     );
-    for kind in ModelKind::ALL {
-        let mut model = config.build_model(kind);
-        let report = model.run();
+    for spec in spectrum() {
+        let report = spec.build(&config).run();
         println!(
-            "{:<12} {:>10} {:>12} {:>12} {:>14.0}",
-            model.model_name(),
+            "{:<18} {:>10} {:>12} {:>12} {:>14.0}",
+            spec.id,
             report.total_transactions(),
             report.total_cycles,
             report.bus.busy_cycles,

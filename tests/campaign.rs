@@ -7,9 +7,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 
-use ahbplus::scenario;
+use ahbplus::{lookup, scenario};
 use analysis::campaign::PointStatus;
-use analysis::report::ModelKind;
 use campaign::{Campaign, CampaignServer, CampaignSpec, Journal, JournalEvent, RunOptions};
 use proptest::prelude::*;
 
@@ -22,8 +21,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
 fn small_spec(name: &str) -> CampaignSpec {
     CampaignSpec::new(name)
         .with_scenario(scenario("table1-a").unwrap().with_transactions(8))
-        .with_model(ModelKind::TransactionLevel)
-        .with_model(ModelKind::LooselyTimed)
+        .with_model(lookup("tlm").unwrap())
+        .with_model(lookup("lt").unwrap())
         .with_seeds(vec![11, 12, 13])
 }
 
@@ -142,10 +141,10 @@ proptest! {
         let dir = fresh_dir(&tag);
         let mut spec = CampaignSpec::new(&tag)
             .with_scenario(scenario("table1-a").unwrap().with_transactions(transactions))
-            .with_model(ModelKind::TransactionLevel)
+            .with_model(lookup("tlm").unwrap())
             .with_seeds(seeds);
         if two_models {
-            spec = spec.with_model(ModelKind::LooselyTimed);
+            spec = spec.with_model(lookup("lt").unwrap());
         }
         let distinct: BTreeSet<String> = spec.expand().into_iter().map(|p| p.hash).collect();
         let campaign = Campaign::create(&dir, spec).unwrap();
@@ -172,37 +171,45 @@ fn http_roundtrip(addr: &std::net::SocketAddr, request: &str) -> String {
     response
 }
 
-/// Serve-mode smoke over a real loopback socket: health, catalogue and a
-/// streamed run with probes and the final report line.
+/// Serve-mode smoke over a real loopback socket: health, the model
+/// registry, a streamed run with probes and the final report line, a run
+/// of a registry scaling configuration, and an unknown model's 400.
 #[test]
 fn serve_mode_answers_over_loopback() {
     let server = CampaignServer::bind("127.0.0.1:0").expect("ephemeral port binds");
     let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.serve(2, Some(4)));
+    let handle = std::thread::spawn(move || server.serve(2, Some(6)));
 
     let health = http_roundtrip(&addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
     assert!(health.starts_with("HTTP/1.1 200"), "{health}");
     assert!(health.contains("\"status\":\"ok\""), "{health}");
 
     let models = http_roundtrip(&addr, "GET /models HTTP/1.1\r\nHost: x\r\n\r\n");
+    let names: Vec<String> = ahbplus::MODELS
+        .iter()
+        .map(|spec| format!("\"{}\"", spec.id))
+        .collect();
     assert!(
-        models.contains("\"tlm\"") && models.contains("\"sharded-het\""),
+        models.ends_with(&format!("[{}]", names.join(","))),
         "{models}"
     );
 
     use ahbplus::Canonical;
     let spec = scenario("table1-a").unwrap().with_transactions(5);
-    let body = format!(
-        "{{\"scenario\": {}, \"model\": \"tlm\", \"stride\": 200}}",
-        spec.to_canon().to_canonical_json()
-    );
-    let run = http_roundtrip(
-        &addr,
-        &format!(
-            "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    );
+    let post = |model: &str| {
+        let body = format!(
+            "{{\"scenario\": {}, \"model\": \"{model}\", \"stride\": 200}}",
+            spec.to_canon().to_canonical_json()
+        );
+        http_roundtrip(
+            &addr,
+            &format!(
+                "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ),
+        )
+    };
+    let run = post("tlm");
     assert!(run.starts_with("HTTP/1.1 200"), "{run}");
     assert!(run.contains("application/x-ndjson"), "{run}");
     let report_line = run
@@ -211,13 +218,27 @@ fn serve_mode_answers_over_loopback() {
         .expect("stream ends with a report line");
     assert!(report_line.contains(&format!(
         "\"point_hash\": \"{}\"",
-        campaign::point_hash(&spec, ModelKind::TransactionLevel)
+        campaign::point_hash(&spec, lookup("tlm").unwrap())
     )));
     // Probe lines precede the report when a stride is requested.
     assert!(
         run.lines().any(|line| line.contains("\"cycle\": ")),
         "streamed probes expected: {run}"
     );
+
+    // A scaling configuration runs by its registry name on its own
+    // traffic: 4 buses of 4 masters, 5 transactions each.
+    let sharded = post("sharded-tlm-la-4x4");
+    assert!(sharded.starts_with("HTTP/1.1 200"), "{sharded}");
+    assert!(
+        sharded.contains("\"model\": \"sharded-tlm-la-4x4\""),
+        "{sharded}"
+    );
+    assert!(sharded.contains("\"transactions\": 80,"), "{sharded}");
+    let unknown = post("warp-drive");
+    assert!(unknown.starts_with("HTTP/1.1 400"), "{unknown}");
+    let registered = lookup("warp-drive").unwrap_err();
+    assert!(unknown.contains(&registered), "{unknown}");
 
     let missing = http_roundtrip(&addr, "GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
     assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");

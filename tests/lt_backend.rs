@@ -96,7 +96,11 @@ fn lt_step_one_matches_one_shot_run_through_the_trait() {
 #[test]
 fn lt_registers_as_the_third_model_kind() {
     let config = PlatformConfig::new(traffic::pattern_a(), 10, 5);
-    let mut model = config.build_model(ModelKind::LooselyTimed);
+    let lt = ahbplus::registry::spectrum()
+        .nth(2)
+        .expect("third spectrum entry");
+    assert_eq!(lt.id, "lt");
+    let mut model = lt.build(&config);
     assert_eq!(model.model_name(), "lt");
     let report = model.run();
     assert_eq!(report.model, ModelKind::LooselyTimed);

@@ -5,7 +5,7 @@
 //! backends.
 
 use ahb_multi::{BridgeConfig, MultiConfig, MultiSystem, ShardBackendKind, Topology};
-use ahbplus::{run_lockstep, PlatformConfig, Simulation};
+use ahbplus::{lookup, run_lockstep, PlatformConfig, Simulation};
 use analysis::model::BusModel;
 use analysis::report::ModelKind;
 use proptest::prelude::*;
@@ -26,6 +26,11 @@ fn build(
         .with_threaded(threaded);
     let patterns = pattern_shards(shards, masters, mix);
     MultiSystem::from_shard_patterns(&config, &patterns, 30, seed)
+}
+
+/// Builds the registry entry `name` on `config`.
+fn registered(name: &str, config: &PlatformConfig) -> Box<dyn BusModel> {
+    lookup(name).expect("registered model").build(config)
 }
 
 /// `mode` = (threaded, spin barrier, adaptive lookahead).
@@ -80,8 +85,8 @@ fn sharded_platform_completes_identical_work_to_the_single_bus_backends() {
     // single-bus backend (crossings included — pattern A's regions
     // interleave across the 2-way window map, so the bridge is exercised).
     let config = PlatformConfig::new(traffic::pattern_a(), 40, 13);
-    let mut tlm = config.build_model(ModelKind::TransactionLevel);
-    let mut sharded = config.build_model(ModelKind::ShardedTlm);
+    let mut tlm = registered("tlm", &config);
+    let mut sharded = registered("sharded-tlm", &config);
     let outcome = run_lockstep(tlm.as_mut(), sharded.as_mut(), CycleDelta::new(256));
     assert!(outcome.results_match, "{}", outcome.summary());
     assert_eq!(
@@ -106,7 +111,7 @@ fn sharded_models_report_their_kind_and_names() {
         (ModelKind::ShardedTlmReads, "sharded-tlm-reads"),
         (ModelKind::ShardedSkew, "sharded-skew"),
     ] {
-        let mut model = config.build_model(kind);
+        let mut model = registered(name, &config);
         assert_eq!(model.kind(), kind);
         assert_eq!(model.model_name(), name);
         let report = model.run();
@@ -121,8 +126,8 @@ fn heterogeneous_platform_completes_identical_work_to_the_flat_bus() {
     // same bridges complete exactly the work the flat cycle-counting bus
     // completes on the same pattern and seed.
     let config = PlatformConfig::new(traffic::pattern_a(), 40, 13);
-    let mut tlm = config.build_model(ModelKind::TransactionLevel);
-    let mut het = config.build_model(ModelKind::ShardedHet);
+    let mut tlm = registered("tlm", &config);
+    let mut het = registered("sharded-het", &config);
     let outcome = run_lockstep(tlm.as_mut(), het.as_mut(), CycleDelta::new(256));
     assert!(outcome.results_match, "{}", outcome.summary());
     assert_eq!(
@@ -173,11 +178,11 @@ fn skewed_window_map_reroutes_ownership() {
     // same round-robin master partition produces a different crossing mix
     // than the interleave — while completing identical work.
     let config = PlatformConfig::new(traffic::pattern_a(), 40, 13);
-    let mut flat = config.build_model(ModelKind::TransactionLevel);
-    let mut skew = config.build_model(ModelKind::ShardedSkew);
+    let mut flat = registered("tlm", &config);
+    let mut skew = registered("sharded-skew", &config);
     let outcome = run_lockstep(flat.as_mut(), skew.as_mut(), CycleDelta::new(256));
     assert!(outcome.results_match, "{}", outcome.summary());
-    let mut interleaved = config.build_model(ModelKind::ShardedTlm);
+    let mut interleaved = registered("sharded-tlm", &config);
     interleaved.run();
     assert_ne!(
         skew.probe().bridge_crossings,

@@ -10,22 +10,21 @@
 //!    components (arbitration wait + attributed service) sum to the
 //!    observed request→completion span, with no residual.
 
-use ahbplus::{scenario_catalogue, PlatformConfig};
-use analysis::model::BusModel;
+use ahbplus::registry::spectrum;
+use ahbplus::{scenario_catalogue, ModelSpec, PlatformConfig};
 use analysis::profile::{Profile, ProfileOptions};
-use analysis::report::ModelKind;
 use analysis::trace::{TraceEvent, TraceEventKind, TraceLog};
 use proptest::prelude::*;
 
 /// Runs one backend over the config with tracing enabled and returns
 /// the merged log.
-fn traced_run(config: &PlatformConfig, kind: ModelKind) -> TraceLog {
-    let mut model = config.build_model(kind);
+fn traced_run(config: &PlatformConfig, spec: &ModelSpec) -> TraceLog {
+    let mut model = spec.build(config);
     model.set_tracing(true);
     model.run();
     model
         .take_trace()
-        .unwrap_or_else(|| panic!("backend {} supports tracing", kind.id()))
+        .unwrap_or_else(|| panic!("backend {} supports tracing", spec.id))
 }
 
 /// The master-visible lifecycle completions of a log (spans and
@@ -38,8 +37,8 @@ fn completions(log: &TraceLog) -> Vec<TraceEvent> {
         .collect()
 }
 
-fn kind_from_bits(bits: u64) -> ModelKind {
-    let all = ModelKind::ALL;
+fn kind_from_bits(bits: u64) -> &'static ModelSpec {
+    let all: Vec<&'static ModelSpec> = spectrum().collect();
     all[(bits % all.len() as u64) as usize]
 }
 
@@ -58,12 +57,12 @@ proptest! {
         let seed = bits >> 8;
         let config = PlatformConfig::new(pattern, transactions, seed);
         let log = traced_run(&config, kind);
-        prop_assert!(!log.events.is_empty(), "{} produced no events", kind.id());
+        prop_assert!(!log.events.is_empty(), "{} produced no events", kind.id);
 
         let binary = log.to_binary();
         let decoded = TraceLog::read_binary(binary.as_slice()).expect("valid .ahbt bytes");
-        prop_assert_eq!(&log.events, &decoded.events, "{} events diverged", kind.id());
-        prop_assert_eq!(log.counters, decoded.counters, "{} counters diverged", kind.id());
+        prop_assert_eq!(&log.events, &decoded.events, "{} events diverged", kind.id);
+        prop_assert_eq!(log.counters, decoded.counters, "{} counters diverged", kind.id);
         // Byte-exactness, both ways: the JSON-lines rendering (the
         // determinism contract's surface) and the re-encoded binary.
         prop_assert_eq!(log.to_json_lines(), decoded.to_json_lines());
@@ -98,7 +97,7 @@ fn attribution_components_sum_to_the_observed_span_on_every_catalogue_scenario()
         let transactions = spec.transactions_per_master.min(6);
         let spec = spec.with_transactions(transactions);
         let config = spec.resolve().expect("catalogue scenario resolves");
-        for kind in ModelKind::ALL {
+        for kind in spectrum() {
             let log = traced_run(&config, kind);
             let mut observed_span_total = 0u64;
             let events = completions(&log);
@@ -107,7 +106,7 @@ fn attribution_components_sum_to_the_observed_span_on_every_catalogue_scenario()
                     event.start <= event.grant && event.grant <= event.cycle,
                     "{}/{}: lifecycle event out of order: {event:?}",
                     spec.name,
-                    kind.id()
+                    kind.id
                 );
                 observed_span_total += event.cycle - event.start;
             }
@@ -117,14 +116,14 @@ fn attribution_components_sum_to_the_observed_span_on_every_catalogue_scenario()
                 observed_span_total,
                 "{}/{}: attributed components leave a residual",
                 spec.name,
-                kind.id()
+                kind.id
             );
             assert_eq!(
                 profile.overall.count,
                 events.len() as u64,
                 "{}/{}: completion count diverged",
                 spec.name,
-                kind.id()
+                kind.id
             );
             // The per-group decompositions tile the overall one.
             let master_sum: u64 = profile
@@ -133,11 +132,9 @@ fn attribution_components_sum_to_the_observed_span_on_every_catalogue_scenario()
                 .map(|g| g.components.span_total())
                 .sum();
             assert_eq!(
-                master_sum,
-                observed_span_total,
+                master_sum, observed_span_total,
                 "{}/{}: per-master components do not tile the total",
-                spec.name,
-                kind.id()
+                spec.name, kind.id
             );
         }
     }
