@@ -24,11 +24,11 @@ use std::time::Instant;
 
 use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats};
 use amba::check::validate_transaction;
-use amba::ids::MasterId;
 use amba::qos::QosConfig;
 use amba::txn::{Transaction, TransactionId};
 use analysis::model::{BusModel, Probe};
-use analysis::report::{BusMetrics, MasterMetrics, ModelKind, SimReport};
+use analysis::recorder::Recorder;
+use analysis::report::{ModelKind, SimReport};
 use analysis::trace::{TraceEventKind, TraceLog, Tracer, FLAG_REMOTE, FLAG_ROW_HIT, FLAG_WRITE};
 use ddrc::DdrGeometry;
 use simkern::time::Cycle;
@@ -81,21 +81,10 @@ impl LatencyTable {
 /// One trace-driven master port of the loosely-timed platform.
 #[derive(Debug, Clone)]
 struct LtMaster {
-    id: MasterId,
-    label: String,
-    qos: QosConfig,
     posted: bool,
     items: TrafficTrace,
     next: usize,
     ready_at: u64,
-    // Integer metric accumulators (averaged only at report time).
-    completed: u64,
-    bytes: u64,
-    last_completion: u64,
-    latency_sum: u64,
-    latency_max: u64,
-    grant_latency_sum: u64,
-    qos_violations: u64,
 }
 
 impl LtMaster {
@@ -132,27 +121,17 @@ impl LtMaster {
         }
     }
 
-    fn new(trace: TrafficTrace, label: &str, qos: QosConfig, posted: bool) -> Self {
+    fn new(trace: TrafficTrace, posted: bool) -> Self {
         let ready_at = match trace.items().first().map(|i| i.release) {
             Some(Release::AfterPrevious(gap)) => gap.value(),
             Some(Release::At(at)) => at.value(),
             None => u64::MAX,
         };
         LtMaster {
-            id: trace.master(),
-            label: label.to_owned(),
-            qos,
             posted,
             items: trace,
             next: 0,
             ready_at,
-            completed: 0,
-            bytes: 0,
-            last_completion: 0,
-            latency_sum: 0,
-            latency_max: 0,
-            grant_latency_sum: 0,
-            qos_violations: 0,
         }
     }
 
@@ -169,38 +148,6 @@ impl LtMaster {
                 Release::AfterPrevious(gap) => done + gap.value(),
                 Release::At(at) => at.value().max(done),
             };
-        }
-    }
-
-    /// Records the completion metrics of one transaction of this master.
-    fn record(&mut self, bytes: u32, latency: u64, grant_latency: u64, completed_at: u64) {
-        self.completed += 1;
-        self.bytes += u64::from(bytes);
-        self.last_completion = self.last_completion.max(completed_at);
-        self.latency_sum += latency;
-        self.latency_max = self.latency_max.max(latency);
-        self.grant_latency_sum += grant_latency;
-        let objective = if self.qos.class.is_real_time() {
-            u64::from(self.qos.objective_cycles)
-        } else {
-            u64::MAX
-        };
-        if grant_latency > objective {
-            self.qos_violations += 1;
-        }
-    }
-
-    fn metrics(&self) -> MasterMetrics {
-        let completed = self.completed.max(1) as f64;
-        MasterMetrics {
-            label: self.label.clone(),
-            completed: self.completed,
-            bytes: self.bytes,
-            last_completion_cycle: self.last_completion,
-            avg_latency: self.latency_sum as f64 / completed,
-            max_latency: self.latency_max as f64,
-            avg_grant_latency: self.grant_latency_sum as f64 / completed,
-            qos_violations: self.qos_violations,
         }
     }
 }
@@ -301,19 +248,16 @@ pub struct LtSystem {
     last_completion: u64,
     masters_done: usize,
     traces_valid: bool,
-    // Bus-level accumulators.
-    transactions: u64,
-    total_bytes: u64,
-    data_beats: u64,
-    busy_cycles: u64,
-    contention_cycles: u64,
+    /// Per-master rows and bus counters; a master's slot is its index in
+    /// `masters`.
+    recorder: Recorder,
+    // Batch write-buffer, row-sketch and assertion totals.
     wb_absorbed: u64,
     wb_drained: u64,
     wb_peak: usize,
     dram_row_hits: u64,
     dram_prepared_hits: u64,
-    dram_misses: u64,
-    dram_conflicts: u64,
+    dram_accesses: u64,
     assertion_errors: u64,
     wall_seconds: f64,
     /// Bridge-port state when this system is one shard of a multi-bus
@@ -378,9 +322,13 @@ impl LtSystem {
             ));
             masters.len() - 1
         });
+        let mut recorder = Recorder::new(ModelKind::LooselyTimed);
         let lt_masters: Vec<LtMaster> = masters
             .into_iter()
-            .map(|(trace, label, qos, posted)| LtMaster::new(trace, &label, qos, posted))
+            .map(|(trace, label, qos, posted)| {
+                recorder.register_master(trace.master(), &label, qos);
+                LtMaster::new(trace, posted)
+            })
             .collect();
         let remote_ahead = port.as_ref().map_or_else(Vec::new, |p| {
             lt_masters
@@ -419,18 +367,13 @@ impl LtSystem {
             last_completion: 0,
             masters_done,
             traces_valid,
-            transactions: 0,
-            total_bytes: 0,
-            data_beats: 0,
-            busy_cycles: 0,
-            contention_cycles: 0,
+            recorder,
             wb_absorbed: 0,
             wb_drained: 0,
             wb_peak: 0,
             dram_row_hits: 0,
             dram_prepared_hits: 0,
-            dram_misses: 0,
-            dram_conflicts: 0,
+            dram_accesses: 0,
             assertion_errors: 0,
             wall_seconds: 0.0,
             bridge: port
@@ -485,15 +428,11 @@ impl LtSystem {
         self.tracer.set_shard(shard);
     }
 
-    /// Takes the buffered trace events, with the DDR and write-backlog
-    /// registry counters filled in from the accumulators.
+    /// Takes the buffered trace events, with the header's DDR and
+    /// write-backlog counters filled in from the probe.
     pub fn take_trace_log(&mut self) -> TraceLog {
-        let mut log = self.tracer.take();
-        log.counters.dram_row_hits = self.dram_row_hits + self.dram_prepared_hits;
-        log.counters.dram_accesses =
-            self.dram_row_hits + self.dram_prepared_hits + self.dram_misses + self.dram_conflicts;
-        log.counters.write_buffer_peak = self.wb_peak as u64;
-        log
+        let probe = self.probe();
+        self.tracer.take().with_probe_counters(&probe)
     }
 
     /// Takes the crossings issued through the bridge slave since the last
@@ -643,14 +582,16 @@ impl LtSystem {
         // The transfer completes now: count the work (the request leg only
         // contributed bus occupancy; the data return travels inside the
         // crossing cost, not over the local bus).
-        self.transactions += 1;
-        self.total_bytes += u64::from(bytes);
-        self.data_beats += u64::from(beats);
+        self.recorder.record_completion(
+            parked.index,
+            bytes,
+            beats,
+            parked.requested_at,
+            parked.granted_at,
+            arrival,
+        );
         self.last_completion = self.last_completion.max(arrival);
-        let latency = arrival - parked.requested_at;
-        let grant_latency = parked.granted_at - parked.requested_at;
         let master = &mut self.masters[parked.index];
-        master.record(bytes, latency, grant_latency, arrival);
         master.advance(arrival);
         if master.is_done() {
             self.masters_done += 1;
@@ -712,6 +653,7 @@ impl LtSystem {
             }
         };
         let mut row_hit = hit;
+        self.dram_accesses += 1;
         if hit {
             self.dram_row_hits += 1;
         } else {
@@ -734,15 +676,7 @@ impl LtSystem {
                 if hidden > 0 {
                     self.dram_prepared_hits += 1;
                     row_hit = true;
-                } else if open.is_some() {
-                    self.dram_conflicts += 1;
-                } else {
-                    self.dram_misses += 1;
                 }
-            } else if open.is_some() {
-                self.dram_conflicts += 1;
-            } else {
-                self.dram_misses += 1;
             }
         }
         self.rows[bank] = Some(decoded.row);
@@ -752,18 +686,6 @@ impl LtSystem {
             ADDRESS_TO_ACCESS_CYCLES + first_data + u64::from(beats),
             row_hit,
         )
-    }
-
-    /// Records the bus-level share of one completed burst.
-    fn record_bus(&mut self, bytes: u32, beats: u32, cost: u64, contended: bool, completed: u64) {
-        self.transactions += 1;
-        self.total_bytes += u64::from(bytes);
-        self.data_beats += u64::from(beats);
-        self.busy_cycles += cost;
-        if contended {
-            self.contention_cycles += cost;
-        }
-        self.last_completion = self.last_completion.max(completed);
     }
 
     /// Drains the oldest backlog entry onto the bus, starting no earlier
@@ -779,14 +701,19 @@ impl LtSystem {
         let completed = start + cost;
         self.bus_free_at = completed;
         self.wb_drained += 1;
-        let (bytes, beats) = (entry.txn.bytes(), entry.txn.beats());
-        self.record_bus(bytes, beats, cost, false, completed);
+        self.recorder.add_busy_cycles(cost, false);
+        self.recorder.record_completion(
+            entry.master_index,
+            entry.txn.bytes(),
+            entry.txn.beats(),
+            entry.absorbed_at,
+            start,
+            completed,
+        );
+        self.last_completion = self.last_completion.max(completed);
         if remote {
             self.push_egress(completed, entry.txn, CrossingLeg::Posted);
         }
-        let latency = completed - entry.absorbed_at;
-        let grant_latency = start - entry.absorbed_at;
-        self.masters[entry.master_index].record(bytes, latency, grant_latency, completed);
         self.tracer.drain(
             entry.txn.master.index() as u16,
             entry.txn.id.value(),
@@ -938,10 +865,7 @@ impl LtSystem {
             };
             let completed_req = grant + cost;
             self.bus_free_at = completed_req;
-            self.busy_cycles += cost;
-            if contended {
-                self.contention_cycles += cost;
-            }
+            self.recorder.add_busy_cycles(cost, contended);
             self.push_egress(
                 completed_req,
                 txn,
@@ -966,7 +890,10 @@ impl LtSystem {
         let (cost, remote, row_hit) = self.transfer_cost(&txn);
         let completed = grant + cost;
         self.bus_free_at = completed;
-        self.record_bus(bytes, beats, cost, contended, completed);
+        self.recorder.add_busy_cycles(cost, contended);
+        self.recorder
+            .record_completion(index, bytes, beats, ready, grant, completed);
+        self.last_completion = self.last_completion.max(completed);
         if remote {
             self.push_egress(completed, txn, CrossingLeg::Posted);
         } else if let Some(bridge) = self.bridge.as_mut() {
@@ -994,9 +921,6 @@ impl LtSystem {
                 }
             }
         }
-        let latency = completed - ready;
-        let grant_latency = grant - ready;
-        self.masters[index].record(bytes, latency, grant_latency, completed);
         let flags = if txn.is_write() { FLAG_WRITE } else { 0 }
             | if remote { FLAG_REMOTE } else { 0 }
             | if row_hit { FLAG_ROW_HIT } else { 0 };
@@ -1035,55 +959,37 @@ impl LtSystem {
         Cycle::new(self.now)
     }
 
-    /// Snapshot of the observable state at the current time.
+    /// Snapshot of the observable state at the current time: the
+    /// recorder's counters plus the batch write buffer, row sketch and
+    /// assertion totals.
     #[must_use]
     pub fn probe(&self) -> Probe {
         Probe {
             cycle: self.last_completion.max(self.now),
-            transactions: self.transactions,
-            bytes: self.total_bytes,
-            data_beats: self.data_beats,
-            busy_cycles: self.busy_cycles,
             write_buffer_fill: self.backlog.len() as u64,
             write_buffer_absorbed: self.wb_absorbed,
             write_buffer_drained: self.wb_drained,
             write_buffer_peak: self.wb_peak as u64,
             dram_row_hits: self.dram_row_hits,
             dram_prepared_hits: self.dram_prepared_hits,
-            dram_accesses: self.dram_row_hits
-                + self.dram_prepared_hits
-                + self.dram_misses
-                + self.dram_conflicts,
+            dram_accesses: self.dram_accesses,
             assertion_errors: self.assertion_errors,
-            assertion_warnings: 0,
-            bridge_crossings: 0,
-            bridge_fifo_peak: 0,
+            ..self.recorder.probe()
         }
     }
 
-    /// The metric report as of the current time. Idempotent: every
-    /// counter is an accumulator published into a fresh report.
+    /// The metric report as of the current time: the recorder projected
+    /// with [`LtSystem::probe`].
     #[must_use]
-    pub fn report(&mut self) -> SimReport {
-        let masters = self.masters.iter().map(|m| (m.id, m.metrics())).collect();
+    pub fn report(&self) -> SimReport {
         let probe = self.probe();
-        SimReport {
-            model: ModelKind::LooselyTimed,
-            total_cycles: probe.cycle,
-            wall_seconds: self.wall_seconds,
-            masters,
-            bus: BusMetrics {
-                busy_cycles: self.busy_cycles,
-                contention_cycles: self.contention_cycles,
-                transactions: self.transactions,
-                data_beats: self.data_beats,
-                write_buffer_hits: self.wb_drained,
-                write_buffer_peak: self.wb_peak as u64,
-                dram_row_hits: self.dram_row_hits + self.dram_prepared_hits,
-                dram_accesses: probe.dram_accesses,
-                assertion_errors: self.assertion_errors,
-            },
-        }
+        self.recorder.report(&probe, probe.cycle, self.wall_seconds)
+    }
+
+    /// The per-master rows and bus counters recorded so far.
+    #[must_use]
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 
     /// Runs the platform until every trace has drained (or the cycle
@@ -1115,7 +1021,7 @@ impl BusModel for LtSystem {
         LtSystem::probe(self)
     }
 
-    fn report(&mut self) -> SimReport {
+    fn report(&self) -> SimReport {
         LtSystem::report(self)
     }
 

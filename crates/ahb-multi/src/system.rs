@@ -33,7 +33,6 @@
 //! comparable across shard counts: the platform simulates N buses of
 //! hardware per elapsed barrier cycle.
 
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -43,7 +42,8 @@ use amba::bridge::{BridgePort, CrossingLeg, ReplayStats, WindowMap};
 use amba::ids::MasterId;
 use amba::txn::{Transaction, TransactionId};
 use analysis::model::{BusModel, Probe, SyncStats};
-use analysis::report::{BusMetrics, ModelKind, SimReport};
+use analysis::recorder::Recorder;
+use analysis::report::{ModelKind, SimReport};
 use analysis::trace::{TraceLog, Tracer, SCHEDULER_SHARD};
 use simkern::time::Cycle;
 use traffic::TrafficPattern;
@@ -146,10 +146,10 @@ impl ShardEngine {
         }
     }
 
-    fn report(&mut self) -> SimReport {
+    fn recorder(&self) -> &Recorder {
         match self {
-            ShardEngine::Tlm(s) => s.report(),
-            ShardEngine::Lt(s) => s.report(),
+            ShardEngine::Tlm(s) => s.recorder(),
+            ShardEngine::Lt(s) => s.recorder(),
         }
     }
 
@@ -548,7 +548,7 @@ impl MultiSystem {
         parts.push(self.tracer.take());
         let mut log = TraceLog::merge(parts);
         log.counters.crossings = self.crossings;
-        log.counters.bridge_fifo_peak = log.counters.bridge_fifo_peak.max(self.fifo_peak);
+        log.counters.bridge_fifo_peak = self.fifo_peak;
         log
     }
 
@@ -804,16 +804,23 @@ impl MultiSystem {
         self.tracer = exchange.tracer;
     }
 
-    /// Aggregated snapshot: the sum of the shard probes with every
-    /// workload transaction counted exactly once (bridge replays are
-    /// subtracted — they are remote bus occupancy for work already
-    /// counted at its source), plus the platform-level bridge statistics.
-    #[must_use]
-    pub fn probe(&self) -> Probe {
+    /// Aggregates the shard probes in one pass: the summed probe with
+    /// every workload transaction counted exactly once (bridge replays are
+    /// subtracted — they are remote bus occupancy for work already counted
+    /// at its source) plus the platform-level bridge statistics, and the
+    /// sum of the shards' bus cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the replays exceed the shard totals, which would be an
+    /// accounting bug.
+    fn aggregate(&self) -> (Probe, u64) {
         let mut aggregate = Probe::default();
         let mut replays = ReplayStats::default();
+        let mut bus_cycles = 0;
         for shard in &self.shards {
             let probe = shard.probe();
+            bus_cycles += probe.cycle;
             aggregate.cycle = aggregate.cycle.max(probe.cycle);
             aggregate.transactions += probe.transactions;
             aggregate.bytes += probe.bytes;
@@ -833,64 +840,43 @@ impl MultiSystem {
             replays.bytes += replayed.bytes;
             replays.data_beats += replayed.data_beats;
         }
-        aggregate.transactions -= replays.transactions;
-        aggregate.bytes -= replays.bytes;
-        aggregate.data_beats -= replays.data_beats;
+        let unreplayed = |total: u64, replayed: u64| {
+            total
+                .checked_sub(replayed)
+                .expect("bridge replays exceed the shard totals")
+        };
+        aggregate.transactions = unreplayed(aggregate.transactions, replays.transactions);
+        aggregate.bytes = unreplayed(aggregate.bytes, replays.bytes);
+        aggregate.data_beats = unreplayed(aggregate.data_beats, replays.data_beats);
         aggregate.bridge_crossings = self.crossings;
         aggregate.bridge_fifo_peak = self.fifo_peak;
-        aggregate
+        (aggregate, bus_cycles)
     }
 
-    /// The aggregated metric report: per-master rows merged over all
-    /// shards (the bridge replay ports are internal plumbing and are
-    /// omitted), bus metrics summed with replays subtracted from the
-    /// completed-work counters, and `total_cycles` the aggregate bus
-    /// cycles simulated across the fabric.
+    /// Aggregated snapshot over every shard; the [`Probe`] field docs say
+    /// which fields are sums and which are maxima.
+    #[must_use]
+    pub fn probe(&self) -> Probe {
+        self.aggregate().0
+    }
+
+    /// The aggregated metric report: the shards' recorder rows merged
+    /// (the bridge replay ports are internal plumbing and are omitted),
+    /// projected with the aggregated probe. `total_cycles` is the
+    /// aggregate bus cycles simulated across the fabric.
     ///
     /// # Panics
     ///
     /// Panics when two shards share a master identifier (the sharded
     /// pattern constructors guarantee uniqueness).
     #[must_use]
-    pub fn report(&mut self) -> SimReport {
-        let mut masters = BTreeMap::new();
-        let mut bus = BusMetrics::default();
-        let mut total_cycles = 0u64;
-        let mut replays = ReplayStats::default();
-        for index in 0..self.shards.len() {
-            let replayed = self.shards[index].replayed();
-            replays.transactions += replayed.transactions;
-            replays.data_beats += replayed.data_beats;
-            let report = self.shards[index].report();
-            total_cycles += report.total_cycles;
-            for (id, metrics) in report.masters {
-                if id == self.bridge_ids[index] {
-                    continue;
-                }
-                assert!(
-                    masters.insert(id, metrics).is_none(),
-                    "master {id} appears on more than one shard"
-                );
-            }
-            bus.busy_cycles += report.bus.busy_cycles;
-            bus.contention_cycles += report.bus.contention_cycles;
-            bus.transactions += report.bus.transactions;
-            bus.data_beats += report.bus.data_beats;
-            bus.write_buffer_hits += report.bus.write_buffer_hits;
-            bus.write_buffer_peak += report.bus.write_buffer_peak;
-            bus.dram_row_hits += report.bus.dram_row_hits;
-            bus.dram_accesses += report.bus.dram_accesses;
-            bus.assertion_errors += report.bus.assertion_errors;
+    pub fn report(&self) -> SimReport {
+        let (probe, bus_cycles) = self.aggregate();
+        let mut recorder = Recorder::new(self.kind);
+        for (shard, bridge) in self.shards.iter().zip(&self.bridge_ids) {
+            recorder.merge(shard.recorder(), *bridge);
         }
-        bus.transactions = bus.transactions.saturating_sub(replays.transactions);
-        bus.data_beats = bus.data_beats.saturating_sub(replays.data_beats);
-        SimReport {
-            model: self.kind,
-            total_cycles,
-            wall_seconds: self.wall_seconds,
-            masters,
-            bus,
-        }
+        recorder.report(&probe, bus_cycles, self.wall_seconds)
     }
 
     /// Runs the platform to completion (or the cycle limit) and reports.
@@ -921,7 +907,7 @@ impl BusModel for MultiSystem {
         MultiSystem::probe(self)
     }
 
-    fn report(&mut self) -> SimReport {
+    fn report(&self) -> SimReport {
         MultiSystem::report(self)
     }
 

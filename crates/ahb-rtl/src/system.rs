@@ -18,7 +18,7 @@ use amba::check::ProtocolChecker;
 use amba::ids::MasterId;
 use amba::qos::QosConfig;
 use amba::signal::{HResp, HTrans};
-use amba::txn::{Completion, Transaction};
+use amba::txn::Transaction;
 use analysis::model::{BusModel, Probe};
 use analysis::recorder::Recorder;
 use analysis::report::{ModelKind, SimReport};
@@ -100,8 +100,8 @@ impl RtlSystem {
         let mut bfms = Vec::with_capacity(masters.len());
         for (trace, label, qos, posted) in masters {
             let bfm = RtlMaster::new(trace, &label, qos, posted);
-            recorder.register_master(bfm.id(), &label);
-            recorder.register_qos(bfm.id(), qos);
+            // The recorder slot of a master is its position.
+            recorder.register_master(bfm.id(), &label, qos);
             arbiter.program_qos(bfm.id(), qos);
             bfms.push(bfm);
         }
@@ -262,35 +262,22 @@ impl RtlSystem {
         self.now
     }
 
-    /// The metric report as of the current time. Idempotent: external
-    /// totals are published, not accumulated, so mid-run snapshots are
-    /// safe.
+    /// The metric report as of the current time: the recorder projected
+    /// with [`RtlSystem::probe`].
     #[must_use]
-    pub fn report(&mut self) -> SimReport {
-        let total_cycles = self.now.value();
-        let dram = self.slave.controller().stats();
-        self.recorder.set_dram_stats(
-            dram.row_hits.value() + dram.prepared_hits.value(),
-            dram.accesses(),
-        );
-        self.recorder
-            .observe_write_buffer_fill(self.write_buffer.peak_fill());
-        self.recorder
-            .set_assertion_errors(self.assertions.error_count() as u64);
-        self.recorder.finish(total_cycles, self.wall_seconds)
+    pub fn report(&self) -> SimReport {
+        let probe = self.probe();
+        self.recorder.report(&probe, probe.cycle, self.wall_seconds)
     }
 
     /// Snapshot of the observable state at the current time (the uniform
-    /// surface behind [`BusModel::probe`]).
+    /// surface behind [`BusModel::probe`]): the recorder's counters plus
+    /// the totals the write buffer, DDR slave and assertion sink own.
     #[must_use]
     pub fn probe(&self) -> Probe {
         let dram = self.slave.controller().stats();
         Probe {
             cycle: self.now.value(),
-            transactions: self.recorder.completions(),
-            bytes: self.recorder.total_bytes(),
-            data_beats: self.recorder.data_beats(),
-            busy_cycles: self.recorder.busy_cycles(),
             write_buffer_fill: self.write_buffer.fill() as u64,
             write_buffer_absorbed: self.write_buffer.absorbed(),
             write_buffer_drained: self.write_buffer.drained(),
@@ -300,8 +287,7 @@ impl RtlSystem {
             dram_accesses: dram.accesses(),
             assertion_errors: self.assertions.error_count() as u64,
             assertion_warnings: self.assertions.warning_count() as u64,
-            bridge_crossings: 0,
-            bridge_fifo_peak: 0,
+            ..self.recorder.probe()
         }
     }
 
@@ -365,8 +351,6 @@ impl RtlSystem {
                 self.pins[index].drive_idle();
             }
         }
-        self.recorder
-            .observe_write_buffer_fill(self.write_buffer.fill());
     }
 
     fn phase_arbiter(&mut self, now: Cycle) {
@@ -446,10 +430,8 @@ impl RtlSystem {
                 }
             }
             Some(mut burst) => {
-                self.recorder.add_busy_cycles(1);
-                if requesting_others(&self.masters, Some(burst.owner)) {
-                    self.recorder.add_contention_cycles(1);
-                }
+                self.recorder
+                    .add_busy_cycles(1, requesting_others(&self.masters, Some(burst.owner)));
                 if burst.wait_left > 0 {
                     burst.wait_left -= 1;
                     self.shared.hready.load(false);
@@ -542,18 +524,20 @@ impl RtlSystem {
     }
 
     fn finish_burst(&mut self, burst: &BurstInProgress, now: Cycle) {
-        let completion = Completion {
-            id: burst.txn.id,
-            master: burst.txn.master,
-            response: HResp::Okay,
-            granted_at: burst.addr_started,
-            completed_at: now,
-            issued_at: burst.issued_at,
-            bytes: burst.txn.bytes(),
-            via_write_buffer: burst.via_write_buffer,
-        };
-        self.recorder
-            .record_completion(&completion, burst.txn.beats());
+        // A drain is recorded against the master that posted the write.
+        let slot = self
+            .masters
+            .iter()
+            .position(|m| m.id() == burst.txn.master)
+            .expect("every burst belongs to a registered master");
+        self.recorder.record_completion(
+            slot,
+            burst.txn.bytes(),
+            burst.txn.beats(),
+            burst.issued_at.value(),
+            burst.addr_started.value(),
+            now.value(),
+        );
         self.last_completion = self.last_completion.max(now);
         if burst.via_write_buffer {
             self.tracer.drain(
@@ -577,8 +561,8 @@ impl RtlSystem {
         }
         if burst.via_write_buffer {
             self.write_buffer.drain_head();
-        } else if let Some(master) = self.masters.iter_mut().find(|m| m.id() == burst.owner) {
-            master.finish_transfer(now);
+        } else {
+            self.masters[slot].finish_transfer(now);
         }
         self.shared.hmaster.load(None);
     }
@@ -594,15 +578,11 @@ impl RtlSystem {
         self.tracer.set_shard(shard);
     }
 
-    /// Drains the accumulated trace log, filling the counter registry from
-    /// the DDR controller and write-buffer accumulators.
+    /// Drains the accumulated trace log, with the header's DDR and
+    /// write-buffer counters filled in from the probe.
     pub fn take_trace_log(&mut self) -> TraceLog {
-        let mut log = self.tracer.take();
-        let dram = self.slave.controller().stats();
-        log.counters.dram_row_hits = dram.row_hits.value() + dram.prepared_hits.value();
-        log.counters.dram_accesses = dram.accesses();
-        log.counters.write_buffer_peak = self.write_buffer.peak_fill() as u64;
-        log
+        let probe = self.probe();
+        self.tracer.take().with_probe_counters(&probe)
     }
 }
 
@@ -657,7 +637,7 @@ impl BusModel for RtlSystem {
         RtlSystem::probe(self)
     }
 
-    fn report(&mut self) -> SimReport {
+    fn report(&self) -> SimReport {
         RtlSystem::report(self)
     }
 

@@ -25,8 +25,7 @@ use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats};
 use amba::check::validate_transaction;
 use amba::ids::MasterId;
 use amba::qos::QosConfig;
-use amba::signal::HResp;
-use amba::txn::{Completion, Transaction, TransactionId, TxnArena};
+use amba::txn::{Transaction, TransactionId, TxnArena};
 use analysis::model::{BusModel, Probe};
 use analysis::recorder::Recorder;
 use analysis::report::{ModelKind, SimReport};
@@ -268,8 +267,8 @@ impl TlmSystem {
                 });
             }
             let master = TraceMaster::new(trace, &label, qos, posted);
-            recorder.register_master(master.id(), &label);
-            recorder.register_qos(master.id(), qos);
+            // The recorder slot of a master is its position.
+            recorder.register_master(master.id(), &label, qos);
             arbiter.program_qos(master.id(), qos);
             trace_masters.push(master);
         }
@@ -395,15 +394,11 @@ impl TlmSystem {
         self.tracer.set_shard(shard);
     }
 
-    /// Takes the buffered trace events, with the DDR and write-buffer
-    /// registry counters filled in from the recorder-side statistics.
+    /// Takes the buffered trace events, with the header's DDR and
+    /// write-buffer counters filled in from the probe.
     pub fn take_trace_log(&mut self) -> TraceLog {
-        let mut log = self.tracer.take();
-        let dram = self.ddr.stats();
-        log.counters.dram_row_hits = dram.row_hits.value() + dram.prepared_hits.value();
-        log.counters.dram_accesses = dram.accesses();
-        log.counters.write_buffer_peak = self.write_buffer.peak_fill() as u64;
-        log
+        let probe = self.probe();
+        self.tracer.take().with_probe_counters(&probe)
     }
 
     /// Takes the crossings issued through the bridge slave since the last
@@ -578,18 +573,14 @@ impl TlmSystem {
             parked.txn.bytes(),
             FLAG_REMOTE,
         );
-        let completion = Completion {
-            id,
-            master: parked.txn.master,
-            response: HResp::Okay,
-            granted_at: parked.granted_at,
-            completed_at: arrival,
-            issued_at: parked.requested_at,
-            bytes: parked.txn.bytes(),
-            via_write_buffer: false,
-        };
-        self.recorder
-            .record_completion(&completion, parked.txn.beats());
+        self.recorder.record_completion(
+            parked.position,
+            parked.txn.bytes(),
+            parked.txn.beats(),
+            parked.requested_at.value(),
+            parked.granted_at.value(),
+            arrival.value(),
+        );
         self.last_completion = self.last_completion.max(arrival);
         let master = &mut self.masters[parked.position];
         master.complete_current(arrival);
@@ -624,36 +615,28 @@ impl TlmSystem {
         self.now
     }
 
-    /// The metric report as of the current time. Idempotent: external
-    /// totals (DRAM stats, assertion counts) are *published* into the
-    /// recorder, not accumulated, so mid-run snapshots and the final
-    /// report can both be taken.
+    /// The metric report as of the current time: the recorder projected
+    /// with [`TlmSystem::probe`].
     #[must_use]
-    pub fn report(&mut self) -> SimReport {
-        let total_cycles = self.last_completion.max(self.now).value();
-        let dram = self.ddr.stats();
-        self.recorder.set_dram_stats(
-            dram.row_hits.value() + dram.prepared_hits.value(),
-            dram.accesses(),
-        );
-        self.recorder
-            .observe_write_buffer_fill(self.write_buffer.peak_fill());
-        self.recorder
-            .set_assertion_errors(self.assertions.error_count() as u64);
-        self.recorder.finish(total_cycles, self.wall_seconds)
+    pub fn report(&self) -> SimReport {
+        let probe = self.probe();
+        self.recorder.report(&probe, probe.cycle, self.wall_seconds)
+    }
+
+    /// The per-master rows and bus counters recorded so far.
+    #[must_use]
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
     }
 
     /// Snapshot of the observable state at the current time (the uniform
-    /// surface behind [`BusModel::probe`]).
+    /// surface behind [`BusModel::probe`]): the recorder's counters plus
+    /// the totals the write buffer, DDR controller and assertion sink own.
     #[must_use]
     pub fn probe(&self) -> Probe {
         let dram = self.ddr.stats();
         Probe {
             cycle: self.last_completion.max(self.now).value(),
-            transactions: self.recorder.completions(),
-            bytes: self.recorder.total_bytes(),
-            data_beats: self.recorder.data_beats(),
-            busy_cycles: self.recorder.busy_cycles(),
             write_buffer_fill: self.write_buffer.fill() as u64,
             write_buffer_absorbed: self.write_buffer.absorbed(),
             write_buffer_drained: self.write_buffer.drained(),
@@ -663,8 +646,7 @@ impl TlmSystem {
             dram_accesses: dram.accesses(),
             assertion_errors: self.assertions.error_count() as u64,
             assertion_warnings: self.assertions.warning_count() as u64,
-            bridge_crossings: 0,
-            bridge_fifo_peak: 0,
+            ..self.recorder.probe()
         }
     }
 
@@ -837,29 +819,21 @@ impl TlmSystem {
 
         // Profiling (paper §3.6).
         let bus_occupied = completed_at.saturating_since(addr_phase);
-        self.recorder.add_busy_cycles(bus_occupied.value());
         let others_waiting = self.pending.iter().any(|p| p.master != winner);
-        if others_waiting {
-            self.recorder.add_contention_cycles(bus_occupied.value());
-        }
         self.recorder
-            .observe_write_buffer_fill(self.write_buffer.fill());
+            .add_busy_cycles(bus_occupied.value(), others_waiting);
         // A stalled read is not complete yet: its metrics are recorded by
-        // `inject_response` with the full round-trip latency.
+        // `inject_response` with the full round-trip latency. A drain is
+        // recorded against the master that posted the write.
         if !stalling_read {
-            let completion = Completion {
-                id: txn.id,
-                master: txn.master,
-                response: HResp::Okay,
-                granted_at: addr_phase,
-                completed_at,
-                issued_at: requested_at,
-                bytes: txn.bytes(),
-                via_write_buffer,
-            };
-            self.recorder.record_completion(&completion, txn.beats());
-        }
-        if !stalling_read {
+            self.recorder.record_completion(
+                self.index_by_id[txn.master.index()],
+                txn.bytes(),
+                txn.beats(),
+                requested_at.value(),
+                addr_phase.value(),
+                completed_at.value(),
+            );
             self.last_completion = self.last_completion.max(completed_at);
             // Lifecycle trace span (request → grant → retire); a drain is
             // the bus-side leg of a posted write absorbed earlier. Its
@@ -1145,8 +1119,6 @@ impl TlmSystem {
                 break;
             }
         }
-        self.recorder
-            .observe_write_buffer_fill(self.write_buffer.fill());
     }
 }
 
@@ -1171,7 +1143,7 @@ impl BusModel for TlmSystem {
         TlmSystem::probe(self)
     }
 
-    fn report(&mut self) -> SimReport {
+    fn report(&self) -> SimReport {
         TlmSystem::report(self)
     }
 

@@ -4,7 +4,7 @@
 //! (`HBUSREQ`/`HGRANT`, then `HADDR`/`HRDATA`/`HREADY`) onto port functions
 //! such as `CheckGrant()` and `Read(addr, *data, *ctrl)`. [`Transaction`] is
 //! the record those functions exchange: who is requesting, where, in which
-//! direction, with which burst shape, plus issue/completion timestamps used
+//! direction, with which burst shape, plus the issue timestamp used
 //! by the profiling layer.
 
 use std::fmt;
@@ -13,7 +13,7 @@ use simkern::time::Cycle;
 
 use crate::burst::{BurstKind, BurstSequence};
 use crate::ids::{Addr, MasterId};
-use crate::signal::{HResp, HSize};
+use crate::signal::HSize;
 
 /// Globally unique transaction identifier (per simulation run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -178,48 +178,6 @@ impl fmt::Display for Transaction {
             self.size,
             self.addr
         )
-    }
-}
-
-/// Completion record returned by the bus for one transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Completion {
-    /// The completed transaction.
-    pub id: TransactionId,
-    /// The issuing master.
-    pub master: MasterId,
-    /// Final slave response.
-    pub response: HResp,
-    /// Cycle at which the bus was granted for the first beat.
-    pub granted_at: Cycle,
-    /// Cycle at which the last beat's data phase finished.
-    pub completed_at: Cycle,
-    /// Cycle at which the master issued the request.
-    pub issued_at: Cycle,
-    /// Total bytes transferred.
-    pub bytes: u32,
-    /// Whether the transaction was served out of the write buffer
-    /// (i.e. posted) rather than directly by the issuing master.
-    pub via_write_buffer: bool,
-}
-
-impl Completion {
-    /// Latency from request to full completion.
-    #[must_use]
-    pub fn total_latency(&self) -> u64 {
-        self.completed_at.saturating_since(self.issued_at).value()
-    }
-
-    /// Cycles spent waiting for a grant.
-    #[must_use]
-    pub fn grant_latency(&self) -> u64 {
-        self.granted_at.saturating_since(self.issued_at).value()
-    }
-
-    /// Cycles spent actually transferring data (address + data phases).
-    #[must_use]
-    pub fn transfer_cycles(&self) -> u64 {
-        self.completed_at.saturating_since(self.granted_at).value()
     }
 }
 
@@ -392,23 +350,6 @@ mod tests {
         let id = TransactionId::new(7);
         assert_eq!(id.next().value(), 8);
         assert_eq!(id.to_string(), "T7");
-    }
-
-    #[test]
-    fn completion_latency_accounting() {
-        let completion = Completion {
-            id: TransactionId::new(1),
-            master: MasterId::new(0),
-            response: HResp::Okay,
-            granted_at: Cycle::new(15),
-            completed_at: Cycle::new(40),
-            issued_at: Cycle::new(10),
-            bytes: 64,
-            via_write_buffer: false,
-        };
-        assert_eq!(completion.total_latency(), 30);
-        assert_eq!(completion.grant_latency(), 5);
-        assert_eq!(completion.transfer_cycles(), 25);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //! * [`model`] — the unified [`model::BusModel`] trait both abstraction
 //!   levels implement (bounded stepping, probes, reports), which every
 //!   driver, sweep and harness is written against.
-//! * [`recorder`] — the metric recorder both bus models fill while they run
-//!   (completions, bus busy spans, contention, write-buffer occupancy, QoS
-//!   violations).
+//! * [`recorder`] — the counter core every backend fills while it runs
+//!   (per-master completions and QoS violations, bus work, busy and
+//!   contention cycles). A [`report::SimReport`] is its projection
+//!   together with the backend's [`model::Probe`].
 //! * [`report`] — the per-run [`report::SimReport`] with per-master and
 //!   bus-level metrics, plus wall-clock speed accounting.
 //! * [`accuracy`] — pairs two reports produced from the same stimulus and
@@ -22,8 +23,7 @@
 //! * [`trace`] — the structured event-tracing subsystem: deterministic
 //!   transaction-lifecycle / bridge / scheduler event streams every
 //!   backend can emit ([`trace::Tracer`]), merged shard logs
-//!   ([`trace::TraceLog`]), Perfetto and JSON-lines exporters, and the
-//!   derived counter/histogram registry ([`trace::TraceMetrics`]).
+//!   ([`trace::TraceLog`]) and Perfetto and JSON-lines exporters.
 //! * [`tracebin`] — the compact `.ahbt` binary trace container
 //!   (delta-encoded varint events, ~6× smaller than JSON-lines) with a
 //!   streaming, bounded-memory [`tracebin::TraceReader`].
@@ -39,15 +39,27 @@
 //!
 //! # Example
 //!
+//! A backend registers its masters, records completions and bus
+//! occupancy while it runs, and projects the recorder and its probe into
+//! a report:
+//!
 //! ```
+//! use amba::ids::MasterId;
+//! use amba::qos::QosConfig;
+//! use analysis::model::Probe;
 //! use analysis::recorder::Recorder;
 //! use analysis::report::ModelKind;
-//! use amba::ids::MasterId;
 //!
 //! let mut recorder = Recorder::new(ModelKind::TransactionLevel);
-//! recorder.register_master(MasterId::new(0), "cpu");
-//! let report = recorder.finish(1_000, 0.01);
-//! assert_eq!(report.model, ModelKind::TransactionLevel);
+//! let cpu = recorder.register_master(MasterId::new(0), "cpu", QosConfig::non_real_time(1));
+//! // Requested at cycle 0, granted at 2, retired at 12: 8 beats, 32 bytes.
+//! recorder.record_completion(cpu, 32, 8, 0, 2, 12);
+//! recorder.add_busy_cycles(10, false);
+//! // Component-owned totals (write buffer, DRAM, assertions) join here.
+//! let probe = Probe { cycle: 12, dram_accesses: 1, ..recorder.probe() };
+//! let report = recorder.report(&probe, probe.cycle, 0.01);
+//! assert_eq!(report.bus.transactions, 1);
+//! assert_eq!(report.masters[&MasterId::new(0)].avg_latency, 12.0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,5 +88,5 @@ pub use profile::{Profile, ProfileBuilder, ProfileDiff, ProfileOptions};
 pub use recorder::Recorder;
 pub use report::{BusMetrics, MasterMetrics, ModelKind, SimReport};
 pub use speed::{ModelMeasurement, SpeedBenchRecord, SpeedReport};
-pub use trace::{TraceEvent, TraceEventKind, TraceLog, TraceMetrics, Tracer};
+pub use trace::{TraceEvent, TraceEventKind, TraceLog, Tracer};
 pub use tracebin::TraceReader;

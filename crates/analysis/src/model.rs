@@ -35,7 +35,9 @@ use crate::trace::TraceLog;
 pub struct Probe {
     /// Simulated cycle the snapshot was taken at (the model's notion of
     /// elapsed time; transaction-level models may overshoot a requested
-    /// horizon by part of one transaction).
+    /// horizon by part of one transaction). On a multi-bus platform this
+    /// is the latest shard clock, while `SimReport::total_cycles` is the
+    /// sum of the shards' bus cycles.
     pub cycle: u64,
     /// Transactions completed so far.
     pub transactions: u64,
@@ -45,13 +47,16 @@ pub struct Probe {
     pub data_beats: u64,
     /// Cycles the bus spent transferring data so far.
     pub busy_cycles: u64,
-    /// Current write-buffer occupancy.
+    /// Current write-buffer occupancy (on a multi-bus platform, the sum
+    /// over the shards' buffers).
     pub write_buffer_fill: u64,
     /// Posted writes absorbed by the write buffer so far.
     pub write_buffer_absorbed: u64,
     /// Posted writes drained onto the bus so far.
     pub write_buffer_drained: u64,
-    /// Peak write-buffer occupancy observed so far.
+    /// Peak write-buffer occupancy observed so far. On a multi-bus
+    /// platform this is the *sum* of the shards' peaks, whereas the trace
+    /// header's `TraceCounters::write_buffer_peak` is their maximum.
     pub write_buffer_peak: u64,
     /// DRAM row hits so far.
     pub dram_row_hits: u64,
@@ -67,8 +72,8 @@ pub struct Probe {
     /// single-bus models; on a multi-bus platform this is the aggregate
     /// over every bridge link).
     pub bridge_crossings: u64,
-    /// Peak occupancy observed in any bridge request FIFO (zero on
-    /// single-bus models).
+    /// Peak occupancy observed in any bridge request FIFO: the maximum
+    /// over links, not a sum (zero on single-bus models).
     pub bridge_fifo_peak: u64,
 }
 
@@ -198,8 +203,8 @@ pub struct SyncStats {
 ///   because implementations route their one-shot `run` through the same
 ///   code path — produces a [`SimReport`] identical (up to wall-clock
 ///   time) to a single [`BusModel::run`].
-/// * [`BusModel::report`] may be called at any point (including mid-run)
-///   and is idempotent; it does not advance time.
+/// * [`BusModel::report`] may be called at any point (including mid-run);
+///   it takes `&self`, so it cannot advance time or double-count.
 pub trait BusModel {
     /// Which abstraction level this model implements.
     fn kind(&self) -> ModelKind;
@@ -233,9 +238,11 @@ pub trait BusModel {
     /// Snapshot of the observable state at the current time.
     fn probe(&self) -> Probe;
 
-    /// The metric report as of the current time. Idempotent; callable
-    /// mid-run and after completion.
-    fn report(&mut self) -> SimReport;
+    /// The metric report as of the current time: a projection of the
+    /// backend's recorder and [`BusModel::probe`]
+    /// ([`crate::recorder::Recorder::report`]). Callable mid-run and after
+    /// completion; it does not change the model.
+    fn report(&self) -> SimReport;
 
     /// Runs the model to completion (or the cycle limit) and reports.
     fn run(&mut self) -> SimReport {
@@ -297,7 +304,7 @@ impl<M: BusModel + ?Sized> BusModel for Box<M> {
         (**self).probe()
     }
 
-    fn report(&mut self) -> SimReport {
+    fn report(&self) -> SimReport {
         (**self).report()
     }
 

@@ -1,55 +1,54 @@
-//! The metric recorder both bus models fill while running.
+//! The counter core every backend fills while running.
 //!
 //! The paper builds "bus and master port profiling features in
 //! transaction-level ports and some internal functions such as arbiter,
-//! write buffer and so on" (§3.6). [`Recorder`] is that profiling layer:
-//! the bus models call it on every completion, every busy span, every
-//! write-buffer event, and it condenses everything into a
-//! [`crate::report::SimReport`] at the end of the run.
+//! write buffer and so on" (§3.6). [`Recorder`] holds the part of that
+//! profiling only the bus loop knows: per-master completion rows plus the
+//! bus-level work and occupancy counters. Everything a component owns —
+//! write-buffer occupancy, DRAM access classes, assertion counts, bridge
+//! traffic — stays in the component and reaches the observation surface
+//! through the backend's [`Probe`]. A [`SimReport`] is a projection of the
+//! two ([`Recorder::report`]), so the report and the probe can never
+//! disagree on a counter they share.
 
 use std::collections::BTreeMap;
 
 use amba::ids::MasterId;
 use amba::qos::QosConfig;
-use amba::txn::Completion;
-use simkern::stats::CycleStats;
 
+use crate::model::Probe;
 use crate::report::{BusMetrics, MasterMetrics, ModelKind, SimReport};
 
-#[derive(Debug, Clone, Default)]
-struct MasterAccumulator {
+/// One master's integer accumulators, averaged only when a report is
+/// built.
+#[derive(Debug, Clone)]
+struct MasterRow {
+    id: MasterId,
     label: String,
+    /// Grant-latency objective in cycles; `u64::MAX` for a master that is
+    /// not real-time (it can never violate).
+    objective: u64,
     completed: u64,
     bytes: u64,
-    last_completion_cycle: u64,
-    latency: CycleStats,
-    grant_latency: CycleStats,
+    last_completion: u64,
+    latency_sum: u64,
+    latency_max: u64,
+    grant_latency_sum: u64,
     qos_violations: u64,
 }
 
-/// Collects raw profiling events during a run and produces a [`SimReport`].
+/// Per-master rows and bus-level counters of one bus (or, merged, of a
+/// multi-bus platform).
 #[derive(Debug, Clone)]
 pub struct Recorder {
     model: ModelKind,
-    /// Per-master accumulators plus a direct-indexed slot map
-    /// (`master.index()` → accumulator position): completion recording is
-    /// once per transaction and must not pay a tree lookup.
-    accumulators: Vec<(MasterId, MasterAccumulator)>,
-    slots: [u8; 256],
-    qos: BTreeMap<MasterId, QosConfig>,
-    /// Direct-indexed QoS objectives (`master.index()` → objective cycles,
-    /// `u64::MAX` = not real-time): completion recording is once per
-    /// transaction, so it must not pay a tree lookup.
-    qos_objective: [u64; 256],
+    /// Dense, in registration order: a master's slot is its index here.
+    rows: Vec<MasterRow>,
+    transactions: u64,
+    bytes: u64,
+    data_beats: u64,
     busy_cycles: u64,
     contention_cycles: u64,
-    transactions: u64,
-    data_beats: u64,
-    write_buffer_hits: u64,
-    write_buffer_peak: u64,
-    dram_row_hits: u64,
-    dram_accesses: u64,
-    assertion_errors: u64,
 }
 
 impl Recorder {
@@ -58,161 +57,140 @@ impl Recorder {
     pub fn new(model: ModelKind) -> Self {
         Recorder {
             model,
-            accumulators: Vec::new(),
-            slots: [u8::MAX; 256],
-            qos: BTreeMap::new(),
-            qos_objective: [u64::MAX; 256],
+            rows: Vec::new(),
+            transactions: 0,
+            bytes: 0,
+            data_beats: 0,
             busy_cycles: 0,
             contention_cycles: 0,
-            transactions: 0,
-            data_beats: 0,
-            write_buffer_hits: 0,
-            write_buffer_peak: 0,
-            dram_row_hits: 0,
-            dram_accesses: 0,
-            assertion_errors: 0,
         }
     }
 
-    /// Declares a master so it appears in the report even if it never
-    /// completes a transaction.
-    pub fn register_master(&mut self, master: MasterId, label: &str) {
-        let slot = self.slot_of(master);
-        self.accumulators[slot].1.label = label.to_owned();
+    /// Declares a master with its QoS programming and returns its slot,
+    /// the index [`Recorder::record_completion`] takes. Slots are handed
+    /// out densely in registration order, so a backend that registers its
+    /// masters in port order uses its port index as the slot. A registered
+    /// master appears in the report even if it never completes anything.
+    pub fn register_master(&mut self, master: MasterId, label: &str, qos: QosConfig) -> usize {
+        self.rows.push(MasterRow {
+            id: master,
+            label: label.to_owned(),
+            objective: if qos.class.is_real_time() {
+                u64::from(qos.objective_cycles)
+            } else {
+                u64::MAX
+            },
+            completed: 0,
+            bytes: 0,
+            last_completion: 0,
+            latency_sum: 0,
+            latency_max: 0,
+            grant_latency_sum: 0,
+            qos_violations: 0,
+        });
+        self.rows.len() - 1
     }
 
-    /// Accumulator position for `master`, creating one on first sight.
-    fn slot_of(&mut self, master: MasterId) -> usize {
-        let slot = self.slots[master.index()];
-        if slot != u8::MAX {
-            return usize::from(slot);
-        }
-        let position = self.accumulators.len();
-        assert!(position < usize::from(u8::MAX), "too many masters");
-        self.accumulators
-            .push((master, MasterAccumulator::default()));
-        self.slots[master.index()] = position as u8;
-        position
-    }
-
-    /// Declares the QoS programming of a master, used to count violations.
-    pub fn register_qos(&mut self, master: MasterId, qos: QosConfig) {
-        self.qos_objective[master.index()] = if qos.class.is_real_time() {
-            u64::from(qos.objective_cycles)
-        } else {
-            u64::MAX
-        };
-        self.qos.insert(master, qos);
-    }
-
-    /// Records one completed transaction.
-    pub fn record_completion(&mut self, completion: &Completion, beats: u32) {
-        let objective = self.qos_objective[completion.master.index()];
-        let slot = self.slot_of(completion.master);
-        let acc = &mut self.accumulators[slot].1;
-        acc.completed += 1;
-        acc.bytes += u64::from(completion.bytes);
-        acc.last_completion_cycle = acc
-            .last_completion_cycle
-            .max(completion.completed_at.value());
-        acc.latency.record(completion.total_latency());
-        acc.grant_latency.record(completion.grant_latency());
-        if completion.grant_latency() > objective {
-            acc.qos_violations += 1;
+    /// Records one completed transaction of the master in `slot`: issued
+    /// (requested) at `issued_at`, granted at `granted_at`, retired at
+    /// `completed_at`.
+    #[inline]
+    pub fn record_completion(
+        &mut self,
+        slot: usize,
+        bytes: u32,
+        beats: u32,
+        issued_at: u64,
+        granted_at: u64,
+        completed_at: u64,
+    ) {
+        let latency = completed_at.saturating_sub(issued_at);
+        let grant_latency = granted_at.saturating_sub(issued_at);
+        let row = &mut self.rows[slot];
+        row.completed += 1;
+        row.bytes += u64::from(bytes);
+        row.last_completion = row.last_completion.max(completed_at);
+        row.latency_sum += latency;
+        row.latency_max = row.latency_max.max(latency);
+        row.grant_latency_sum += grant_latency;
+        if grant_latency > row.objective {
+            row.qos_violations += 1;
         }
         self.transactions += 1;
+        self.bytes += u64::from(bytes);
         self.data_beats += u64::from(beats);
-        if completion.via_write_buffer {
-            self.write_buffer_hits += 1;
+    }
+
+    /// Adds `cycles` of bus data-transfer activity; `contended` when at
+    /// least one other request waited while the bus served this one.
+    #[inline]
+    pub fn add_busy_cycles(&mut self, cycles: u64, contended: bool) {
+        self.busy_cycles += cycles;
+        if contended {
+            self.contention_cycles += cycles;
         }
     }
 
-    /// Adds `cycles` of bus data-transfer activity.
-    pub fn add_busy_cycles(&mut self, cycles: u64) {
-        self.busy_cycles += cycles;
-    }
-
-    /// Adds `cycles` during which at least one request waited while the bus
-    /// served somebody else.
-    pub fn add_contention_cycles(&mut self, cycles: u64) {
-        self.contention_cycles += cycles;
-    }
-
-    /// Records the current write-buffer occupancy (keeps the peak).
-    pub fn observe_write_buffer_fill(&mut self, fill: usize) {
-        self.write_buffer_peak = self.write_buffer_peak.max(fill as u64);
-    }
-
-    /// Publishes the DRAM access classification counts (hits include
-    /// prepared hits). *Set* semantics, not accumulate: the owning system
-    /// copies the controller's live totals in whenever a report or probe
-    /// is produced, so repeated snapshots must not double-count.
-    pub fn set_dram_stats(&mut self, row_hits: u64, accesses: u64) {
-        self.dram_row_hits = row_hits;
-        self.dram_accesses = accesses;
-    }
-
-    /// Publishes the number of assertion errors observed so far (*set*
-    /// semantics, see [`Recorder::set_dram_stats`]).
-    pub fn set_assertion_errors(&mut self, errors: u64) {
-        self.assertion_errors = errors;
-    }
-
-    /// Number of completions recorded so far (cheap progress probe).
+    /// The recorder's share of a probe: transactions, bytes, data beats
+    /// and busy cycles, every other field zero. A backend fills the rest
+    /// from its components.
     #[must_use]
-    pub fn completions(&self) -> u64 {
-        self.transactions
+    pub fn probe(&self) -> Probe {
+        Probe {
+            transactions: self.transactions,
+            bytes: self.bytes,
+            data_beats: self.data_beats,
+            busy_cycles: self.busy_cycles,
+            ..Probe::default()
+        }
     }
 
-    /// Total bytes recorded across all masters so far.
-    #[must_use]
-    pub fn total_bytes(&self) -> u64 {
-        self.accumulators.iter().map(|(_, acc)| acc.bytes).sum()
+    /// Adds the rows and counters of `other` (one shard of a multi-bus
+    /// platform) to this recorder, leaving out the row of `skip` (the
+    /// shard's bridge replay port, which is internal plumbing).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a master of `other` is already present (two shards
+    /// share a master identifier).
+    pub fn merge(&mut self, other: &Recorder, skip: MasterId) {
+        for row in other.rows.iter().filter(|row| row.id != skip) {
+            assert!(
+                self.rows.iter().all(|mine| mine.id != row.id),
+                "master {} appears on more than one shard",
+                row.id
+            );
+            self.rows.push(row.clone());
+        }
+        self.transactions += other.transactions;
+        self.bytes += other.bytes;
+        self.data_beats += other.data_beats;
+        self.busy_cycles += other.busy_cycles;
+        self.contention_cycles += other.contention_cycles;
     }
 
-    /// Data beats recorded so far.
+    /// Projects the recorder and the backend's `probe` into a
+    /// [`SimReport`]. The per-master rows and the contention cycles come
+    /// from the recorder; every other bus counter is read off the probe,
+    /// which is the one place a backend publishes its totals.
     #[must_use]
-    pub fn data_beats(&self) -> u64 {
-        self.data_beats
-    }
-
-    /// Bus busy cycles recorded so far.
-    #[must_use]
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
-    }
-
-    /// Transactions served out of the write buffer so far.
-    #[must_use]
-    pub fn write_buffer_hits(&self) -> u64 {
-        self.write_buffer_hits
-    }
-
-    /// Condenses everything into a [`SimReport`].
-    #[must_use]
-    pub fn finish(&self, total_cycles: u64, wall_seconds: f64) -> SimReport {
-        let masters = self
-            .accumulators
+    pub fn report(&self, probe: &Probe, total_cycles: u64, wall_seconds: f64) -> SimReport {
+        let masters: BTreeMap<MasterId, MasterMetrics> = self
+            .rows
             .iter()
-            .map(|(id, acc)| {
-                let label = if acc.label.is_empty() {
-                    format!("m{}", id.index())
-                } else {
-                    acc.label.clone()
+            .map(|row| {
+                let completed = row.completed.max(1) as f64;
+                let metrics = MasterMetrics {
+                    label: row.label.clone(),
+                    completed: row.completed,
+                    bytes: row.bytes,
+                    last_completion_cycle: row.last_completion,
+                    avg_latency: row.latency_sum as f64 / completed,
+                    max_latency: row.latency_max as f64,
+                    avg_grant_latency: row.grant_latency_sum as f64 / completed,
+                    qos_violations: row.qos_violations,
                 };
-                (
-                    *id,
-                    MasterMetrics {
-                        label,
-                        completed: acc.completed,
-                        bytes: acc.bytes,
-                        last_completion_cycle: acc.last_completion_cycle,
-                        avg_latency: acc.latency.mean(),
-                        max_latency: acc.latency.max() as f64,
-                        avg_grant_latency: acc.grant_latency.mean(),
-                        qos_violations: acc.qos_violations,
-                    },
-                )
+                (row.id, metrics)
             })
             .collect();
         SimReport {
@@ -221,15 +199,15 @@ impl Recorder {
             wall_seconds,
             masters,
             bus: BusMetrics {
-                busy_cycles: self.busy_cycles,
+                busy_cycles: probe.busy_cycles,
                 contention_cycles: self.contention_cycles,
-                transactions: self.transactions,
-                data_beats: self.data_beats,
-                write_buffer_hits: self.write_buffer_hits,
-                write_buffer_peak: self.write_buffer_peak,
-                dram_row_hits: self.dram_row_hits,
-                dram_accesses: self.dram_accesses,
-                assertion_errors: self.assertion_errors,
+                transactions: probe.transactions,
+                data_beats: probe.data_beats,
+                write_buffer_hits: probe.write_buffer_drained,
+                write_buffer_peak: probe.write_buffer_peak,
+                dram_row_hits: probe.dram_row_hits + probe.dram_prepared_hits,
+                dram_accesses: probe.dram_accesses,
+                assertion_errors: probe.assertion_errors,
             },
         }
     }
@@ -238,106 +216,118 @@ impl Recorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amba::signal::HResp;
-    use amba::txn::TransactionId;
-    use simkern::time::Cycle;
 
-    fn completion(master: u8, issued: u64, granted: u64, done: u64, bytes: u32) -> Completion {
-        Completion {
-            id: TransactionId::new(1),
-            master: MasterId::new(master),
-            response: HResp::Okay,
-            granted_at: Cycle::new(granted),
-            completed_at: Cycle::new(done),
-            issued_at: Cycle::new(issued),
-            bytes,
-            via_write_buffer: false,
-        }
+    /// A recorder with the cpu (slot 0, best effort) and video (slot 1,
+    /// real-time with a 10-cycle objective) masters.
+    fn two_masters() -> Recorder {
+        let mut r = Recorder::new(ModelKind::TransactionLevel);
+        assert_eq!(
+            r.register_master(MasterId::new(0), "cpu", QosConfig::non_real_time(1)),
+            0
+        );
+        assert_eq!(
+            r.register_master(MasterId::new(1), "video", QosConfig::real_time(10, 0)),
+            1
+        );
+        r
     }
 
     #[test]
     fn completions_accumulate_per_master() {
-        let mut r = Recorder::new(ModelKind::PinAccurateRtl);
-        r.register_master(MasterId::new(0), "cpu");
-        r.record_completion(&completion(0, 0, 5, 20, 32), 8);
-        r.record_completion(&completion(0, 10, 12, 40, 16), 4);
-        r.record_completion(&completion(1, 0, 2, 30, 64), 16);
-        let report = r.finish(100, 0.001);
+        let mut r = two_masters();
+        r.record_completion(0, 32, 8, 0, 5, 20);
+        r.record_completion(0, 16, 4, 10, 12, 40);
+        r.record_completion(1, 64, 16, 0, 2, 30);
+        let probe = r.probe();
+        assert_eq!(probe.transactions, 3);
+        assert_eq!(probe.bytes, 112);
+        assert_eq!(probe.data_beats, 28);
+        let report = r.report(&probe, 100, 0.001);
         assert_eq!(report.masters.len(), 2);
         let cpu = &report.masters[&MasterId::new(0)];
         assert_eq!(cpu.completed, 2);
         assert_eq!(cpu.bytes, 48);
         assert_eq!(cpu.last_completion_cycle, 40);
         assert!((cpu.avg_latency - 25.0).abs() < 1e-9);
+        assert!((cpu.max_latency - 30.0).abs() < 1e-9);
         assert!((cpu.avg_grant_latency - 3.5).abs() < 1e-9);
-        let other = &report.masters[&MasterId::new(1)];
-        assert_eq!(
-            other.label, "m1",
-            "unregistered master gets a fallback label"
-        );
     }
 
     #[test]
     fn qos_violations_are_counted_against_registered_objectives() {
-        let mut r = Recorder::new(ModelKind::TransactionLevel);
-        r.register_master(MasterId::new(1), "video");
-        r.register_qos(MasterId::new(1), QosConfig::real_time(10, 0));
-        // Grant latency 5: fine. Grant latency 30: violation.
-        r.record_completion(&completion(1, 0, 5, 20, 64), 16);
-        r.record_completion(&completion(1, 100, 130, 150, 64), 16);
-        let report = r.finish(200, 0.001);
+        let mut r = two_masters();
+        // Grant latency 5: fine. Grant latency 30: violation. The
+        // best-effort master never violates.
+        r.record_completion(1, 64, 16, 0, 5, 20);
+        r.record_completion(1, 64, 16, 100, 130, 150);
+        r.record_completion(0, 64, 16, 100, 900, 950);
+        let report = r.report(&r.probe(), 200, 0.001);
         assert_eq!(report.masters[&MasterId::new(1)].qos_violations, 1);
+        assert_eq!(report.masters[&MasterId::new(0)].qos_violations, 0);
     }
 
     #[test]
-    fn bus_level_counters_flow_into_the_report() {
-        let mut r = Recorder::new(ModelKind::TransactionLevel);
-        r.add_busy_cycles(60);
-        r.add_contention_cycles(12);
-        r.observe_write_buffer_fill(2);
-        r.observe_write_buffer_fill(5);
-        r.observe_write_buffer_fill(1);
-        r.set_dram_stats(7, 10);
-        r.set_assertion_errors(1);
-        let mut wb = completion(2, 0, 0, 9, 32);
-        wb.via_write_buffer = true;
-        r.record_completion(&wb, 8);
-        let report = r.finish(100, 0.5);
-        assert_eq!(report.bus.busy_cycles, 60);
+    fn the_report_projects_component_totals_from_the_probe() {
+        let mut r = two_masters();
+        r.add_busy_cycles(60, false);
+        r.add_busy_cycles(12, true);
+        r.record_completion(0, 32, 8, 0, 0, 9);
+        let probe = Probe {
+            write_buffer_drained: 3,
+            write_buffer_peak: 5,
+            dram_row_hits: 7,
+            dram_prepared_hits: 2,
+            dram_accesses: 10,
+            assertion_errors: 1,
+            ..r.probe()
+        };
+        assert_eq!(probe.busy_cycles, 72);
+        let report = r.report(&probe, 100, 0.5);
+        assert_eq!(report.bus.busy_cycles, 72);
         assert_eq!(report.bus.contention_cycles, 12);
-        assert_eq!(report.bus.write_buffer_peak, 5);
-        assert_eq!(report.bus.write_buffer_hits, 1);
-        assert_eq!(report.bus.dram_row_hits, 7);
-        assert_eq!(report.bus.assertion_errors, 1);
+        assert_eq!(report.bus.transactions, 1);
         assert_eq!(report.bus.data_beats, 8);
-        assert_eq!(r.completions(), 1);
-        assert_eq!(r.total_bytes(), 32);
-        assert_eq!(r.data_beats(), 8);
-        assert_eq!(r.busy_cycles(), 60);
-        assert_eq!(r.write_buffer_hits(), 1);
-    }
-
-    #[test]
-    fn set_counters_are_idempotent_across_snapshots() {
-        // A step-driven run publishes external totals on every report;
-        // repeating the publication must not inflate the counters.
-        let mut r = Recorder::new(ModelKind::TransactionLevel);
-        r.set_dram_stats(7, 10);
-        r.set_assertion_errors(2);
-        r.set_dram_stats(7, 10);
-        r.set_assertion_errors(2);
-        let report = r.finish(100, 0.1);
-        assert_eq!(report.bus.dram_row_hits, 7);
+        assert_eq!(report.bus.write_buffer_hits, 3);
+        assert_eq!(report.bus.write_buffer_peak, 5);
+        assert_eq!(report.bus.dram_row_hits, 9, "row plus prepared hits");
         assert_eq!(report.bus.dram_accesses, 10);
-        assert_eq!(report.bus.assertion_errors, 2);
+        assert_eq!(report.bus.assertion_errors, 1);
+        assert_eq!(report, r.report(&probe, 100, 0.5), "reports are pure");
     }
 
     #[test]
     fn registered_but_idle_masters_appear_in_the_report() {
         let mut r = Recorder::new(ModelKind::PinAccurateRtl);
-        r.register_master(MasterId::new(3), "writer");
-        let report = r.finish(10, 0.0);
-        assert_eq!(report.masters[&MasterId::new(3)].completed, 0);
-        assert_eq!(report.masters[&MasterId::new(3)].label, "writer");
+        r.register_master(MasterId::new(3), "writer", QosConfig::non_real_time(0));
+        let report = r.report(&r.probe(), 10, 0.0);
+        let writer = &report.masters[&MasterId::new(3)];
+        assert_eq!(writer.completed, 0);
+        assert_eq!(writer.label, "writer");
+        assert_eq!(writer.avg_latency, 0.0);
+    }
+
+    #[test]
+    fn merge_skips_the_bridge_port_and_sums_counters() {
+        let mut shard = two_masters();
+        let bridge =
+            shard.register_master(MasterId::new(255), "bridge", QosConfig::non_real_time(254));
+        shard.record_completion(bridge, 32, 8, 0, 1, 9);
+        shard.add_busy_cycles(9, true);
+        let mut merged = Recorder::new(ModelKind::ShardedTlm);
+        merged.merge(&shard, MasterId::new(255));
+        assert_eq!(merged.probe(), shard.probe());
+        let report = merged.report(&merged.probe(), 9, 0.0);
+        assert_eq!(report.masters.len(), 2, "bridge row left out");
+        assert_eq!(report.bus.contention_cycles, 9);
+        assert_eq!(report.model, ModelKind::ShardedTlm);
+    }
+
+    #[test]
+    #[should_panic(expected = "more than one shard")]
+    fn merge_rejects_a_master_on_two_shards() {
+        let shard = two_masters();
+        let mut merged = Recorder::new(ModelKind::ShardedTlm);
+        merged.merge(&shard, MasterId::new(255));
+        merged.merge(&shard, MasterId::new(255));
     }
 }

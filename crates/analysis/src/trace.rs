@@ -1,4 +1,4 @@
-//! Structured event tracing and derived metrics.
+//! Structured event tracing.
 //!
 //! Every backend can emit a stream of [`TraceEvent`]s into a [`Tracer`]:
 //! transaction-lifecycle spans (release → grant → data beats → retire,
@@ -23,14 +23,14 @@
 //! (via `BusModel::take_trace`). Multi-shard platforms merge per-shard
 //! logs in `(cycle, shard, seq)` order ([`TraceLog::merge`]); the
 //! result exports to Chrome-trace/Perfetto JSON
-//! ([`TraceLog::to_perfetto_json`]) or compact JSON-lines, and derives
-//! a counter/histogram registry ([`TraceLog::metrics`]): per-master
-//! latency histograms, DDR bank hit/miss, write-buffer and bridge-FIFO
-//! activity.
+//! ([`TraceLog::to_perfetto_json`]) or compact JSON-lines. Latency
+//! distributions and their attribution are computed from the stream by
+//! [`crate::profile`].
 
 use std::fmt::Write as _;
 
 use crate::jsonfmt::escape_json;
+use crate::model::Probe;
 
 /// What a [`TraceEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -275,11 +275,20 @@ impl TraceEvent {
     }
 }
 
-/// Aggregate counters of a [`TraceLog`] — the registry half of the
-/// metrics surface. The event-derived counts come from the log itself;
-/// the DDR and peak-occupancy numbers are registered by the backend
-/// when the log is taken (they live in its recorder, not in per-event
-/// payloads).
+/// The header counters of a [`TraceLog`] (the counter block of the
+/// `.ahbt` v1 format).
+///
+/// The DDR and peak-occupancy slots are filled from the backend's
+/// [`Probe`] when the log is taken ([`TraceLog::with_probe_counters`]).
+/// On a multi-bus platform the merged log sums the DDR slots over shards
+/// and takes the *maximum* of the write-buffer and bridge-FIFO peaks
+/// (the probe sums write-buffer peaks instead).
+///
+/// The eight event-count slots (`spans` through `stretches`) are zero in
+/// every log a backend returns, except `crossings` on a multi-bus
+/// platform, which carries the platform's bridge-crossing total. The
+/// slots stay because the `.ahbt` v1 header has them; count events from
+/// the stream itself when they are needed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceCounters {
     /// Transactions that completed on the bus (span events).
@@ -298,13 +307,14 @@ pub struct TraceCounters {
     pub barriers: u64,
     /// Lookahead quantum stretches.
     pub stretches: u64,
-    /// DRAM row-hit accesses (registered from the backend recorder).
+    /// DRAM row hits plus prepared hits (from the probe).
     pub dram_row_hits: u64,
-    /// Total DRAM accesses (registered from the backend recorder).
+    /// Total DRAM accesses (from the probe).
     pub dram_accesses: u64,
-    /// Peak write-buffer occupancy (registered from the backend).
+    /// Peak write-buffer occupancy (from the probe; the maximum over
+    /// shards in a merged log).
     pub write_buffer_peak: u64,
-    /// Peak bridge-FIFO occupancy (registered from the backend).
+    /// Peak bridge-FIFO occupancy (set by the multi-bus platform).
     pub bridge_fifo_peak: u64,
 }
 
@@ -326,116 +336,6 @@ impl TraceCounters {
             write_buffer_peak: self.write_buffer_peak.max(other.write_buffer_peak),
             bridge_fifo_peak: self.bridge_fifo_peak.max(other.bridge_fifo_peak),
         }
-    }
-
-    /// DRAM bank-miss count (accesses that were not row hits).
-    #[must_use]
-    pub fn dram_misses(&self) -> u64 {
-        self.dram_accesses.saturating_sub(self.dram_row_hits)
-    }
-}
-
-/// Power-of-two latency histogram: bucket `i` counts latencies in
-/// `[2^i, 2^(i+1))` (bucket 0 also holds latency 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LatencyHistogram {
-    /// One count per power-of-two bucket.
-    pub buckets: [u64; 24],
-    /// Number of recorded samples.
-    pub count: u64,
-    /// Sum of recorded latencies (for the mean).
-    pub total: u64,
-}
-
-impl LatencyHistogram {
-    /// Records one latency sample.
-    pub fn record(&mut self, latency: u64) {
-        let bucket = (64 - latency.leading_zeros()).saturating_sub(1) as usize;
-        self.buckets[bucket.min(self.buckets.len() - 1)] += 1;
-        self.count += 1;
-        self.total += latency;
-    }
-
-    /// Mean recorded latency (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.total as f64 / self.count as f64
-    }
-
-    /// Inclusive lower bound of bucket `i`.
-    #[must_use]
-    pub fn bucket_floor(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1 << i
-        }
-    }
-}
-
-/// Per-master derived metrics.
-#[derive(Debug, Clone, Default)]
-pub struct MasterTraceMetrics {
-    /// Master id.
-    pub master: u16,
-    /// Request-to-retire latency histogram over the master's spans
-    /// (absorbed posted writes count with their absorption latency).
-    pub latency: LatencyHistogram,
-    /// Bytes the master moved.
-    pub bytes: u64,
-}
-
-/// The derived counter/histogram registry of a trace.
-#[derive(Debug, Clone, Default)]
-pub struct TraceMetrics {
-    /// Aggregate counters.
-    pub counters: TraceCounters,
-    /// Per-master latency/bytes metrics, ordered by master id.
-    pub masters: Vec<MasterTraceMetrics>,
-}
-
-impl TraceMetrics {
-    /// Renders a small human-readable summary table.
-    #[must_use]
-    pub fn format_summary(&self) -> String {
-        let c = &self.counters;
-        let mut out = String::new();
-        let _ =
-            writeln!(
-            out,
-            "events: {} spans, {} absorbed, {} drained, {} crossings ({} replays, {} responses), \
-             {} barriers ({} stretched)",
-            c.spans, c.absorbed, c.drained, c.crossings, c.replays, c.responses, c.barriers,
-            c.stretches
-        );
-        let _ = writeln!(
-            out,
-            "ddr: {} accesses, {} row hits, {} misses; write-buffer peak {}, bridge-FIFO peak {}",
-            c.dram_accesses,
-            c.dram_row_hits,
-            c.dram_misses(),
-            c.write_buffer_peak,
-            c.bridge_fifo_peak
-        );
-        let _ = writeln!(
-            out,
-            "{:<8} {:>8} {:>12} {:>14}",
-            "master", "spans", "bytes", "mean latency"
-        );
-        for m in &self.masters {
-            let _ = writeln!(
-                out,
-                "m{:<7} {:>8} {:>12} {:>14.1}",
-                m.master,
-                m.latency.count,
-                m.bytes,
-                m.latency.mean()
-            );
-        }
-        out
     }
 }
 
@@ -684,6 +584,17 @@ impl TraceLog {
         &self.events[start..end]
     }
 
+    /// Fills the header's DDR and write-buffer slots from a backend's
+    /// probe: the one way every backend registers them when its log is
+    /// taken.
+    #[must_use]
+    pub fn with_probe_counters(mut self, probe: &Probe) -> TraceLog {
+        self.counters.dram_row_hits = probe.dram_row_hits + probe.dram_prepared_hits;
+        self.counters.dram_accesses = probe.dram_accesses;
+        self.counters.write_buffer_peak = probe.write_buffer_peak;
+        self
+    }
+
     /// Events with the scheduler category filtered out — the
     /// schedule-independent stream (identical across fixed and
     /// lookahead quanta, not just across scheduler threading modes).
@@ -694,60 +605,6 @@ impl TraceLog {
             .copied()
             .filter(|e| !e.kind.is_scheduler())
             .collect()
-    }
-
-    /// Derives the counter/histogram registry from the event stream
-    /// (event-kind counts recomputed; registered DDR/peak counters
-    /// carried through).
-    #[must_use]
-    pub fn metrics(&self) -> TraceMetrics {
-        let mut counters = self.counters;
-        counters.spans = 0;
-        counters.absorbed = 0;
-        counters.drained = 0;
-        counters.crossings = 0;
-        counters.replays = 0;
-        counters.responses = 0;
-        counters.barriers = 0;
-        counters.stretches = 0;
-        let mut masters: Vec<MasterTraceMetrics> = Vec::new();
-        let master_slot = |masters: &mut Vec<MasterTraceMetrics>, id: u16| -> usize {
-            match masters.binary_search_by_key(&id, |m| m.master) {
-                Ok(i) => i,
-                Err(i) => {
-                    masters.insert(
-                        i,
-                        MasterTraceMetrics {
-                            master: id,
-                            ..MasterTraceMetrics::default()
-                        },
-                    );
-                    i
-                }
-            }
-        };
-        for event in &self.events {
-            match event.kind {
-                TraceEventKind::Span => {
-                    counters.spans += 1;
-                    let i = master_slot(&mut masters, event.master);
-                    masters[i].latency.record(event.latency());
-                    masters[i].bytes += u64::from(event.bytes);
-                }
-                TraceEventKind::Absorb => {
-                    counters.absorbed += 1;
-                    let i = master_slot(&mut masters, event.master);
-                    masters[i].latency.record(event.latency());
-                }
-                TraceEventKind::Drain => counters.drained += 1,
-                TraceEventKind::BridgeEgress => counters.crossings += 1,
-                TraceEventKind::BridgeReplay => counters.replays += 1,
-                TraceEventKind::BridgeResponse => counters.responses += 1,
-                TraceEventKind::Barrier => counters.barriers += 1,
-                TraceEventKind::Stretch => counters.stretches += 1,
-            }
-        }
-        TraceMetrics { counters, masters }
     }
 
     /// Renders the stream as compact JSON lines (one event per line,
@@ -926,28 +783,19 @@ mod tests {
     }
 
     #[test]
-    fn metrics_derive_histograms_and_counts() {
-        let mut tracer = Tracer::disabled();
-        tracer.set_enabled(true);
-        tracer.span(2, 1, 0, 2, 16, 64, 0);
-        tracer.span(2, 2, 20, 22, 36, 64, 0);
-        tracer.absorb(5, 3, 40, 41);
-        tracer.barrier(96, 96);
-        let mut log = tracer.take();
-        log.counters.dram_row_hits = 7;
-        log.counters.dram_accesses = 10;
-        let metrics = log.metrics();
-        assert_eq!(metrics.counters.spans, 2);
-        assert_eq!(metrics.counters.absorbed, 1);
-        assert_eq!(metrics.counters.barriers, 1);
-        assert_eq!(metrics.counters.dram_misses(), 3);
-        assert_eq!(metrics.masters.len(), 2);
-        assert_eq!(metrics.masters[0].master, 2);
-        assert_eq!(metrics.masters[0].latency.count, 2);
-        assert_eq!(metrics.masters[0].bytes, 128);
-        let summary = metrics.format_summary();
-        assert!(summary.contains("2 spans"));
-        assert!(summary.contains("m2"));
+    fn probe_counters_fill_the_ddr_and_write_buffer_slots() {
+        let probe = Probe {
+            dram_row_hits: 5,
+            dram_prepared_hits: 2,
+            dram_accesses: 10,
+            write_buffer_peak: 4,
+            ..Probe::default()
+        };
+        let counters = TraceLog::default().with_probe_counters(&probe).counters;
+        assert_eq!(counters.dram_row_hits, 7, "row plus prepared hits");
+        assert_eq!(counters.dram_accesses, 10);
+        assert_eq!(counters.write_buffer_peak, 4);
+        assert_eq!(counters.spans, 0, "event-count slots stay zero");
     }
 
     #[test]
@@ -960,23 +808,6 @@ mod tests {
         let log = tracer.take();
         assert_eq!(log.events.len(), 3);
         assert_eq!(log.lifecycle_events().len(), 1);
-    }
-
-    #[test]
-    fn latency_histogram_buckets_by_power_of_two() {
-        let mut h = LatencyHistogram::default();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(900);
-        assert_eq!(h.buckets[0], 2); // 0 and 1
-        assert_eq!(h.buckets[1], 2); // 2 and 3
-        assert_eq!(h.buckets[9], 1); // 512..1024
-        assert_eq!(h.count, 5);
-        assert!((h.mean() - 181.2).abs() < 1e-9);
-        assert_eq!(LatencyHistogram::bucket_floor(0), 0);
-        assert_eq!(LatencyHistogram::bucket_floor(9), 512);
     }
 
     #[test]

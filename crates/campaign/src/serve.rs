@@ -56,7 +56,7 @@ use ahbplus::{lookup, scenario_catalogue, ModelSpec, Probe, ScenarioSpec, Topolo
 use analysis::canon::{parse, CanonValue};
 use analysis::jsonfmt::escape_json;
 use analysis::profile::{Profile, ProfileOptions};
-use analysis::trace::{LatencyHistogram, TraceEventKind, TraceLog};
+use analysis::trace::{TraceEventKind, TraceLog};
 use simkern::time::CycleDelta;
 
 use crate::spec::{point_hash, topology_point_hash};
@@ -102,10 +102,9 @@ pub struct ServerMetrics {
     /// Trace events streamed back to `/run` clients.
     trace_events: AtomicU64,
     /// Server-lifetime master-visible transaction latencies from traced
-    /// runs, in the same power-of-two buckets as
-    /// [`analysis::trace::LatencyHistogram`] (bucket `i` holds
-    /// `[2^i, 2^(i+1))`, bucket 0 holds 0–1, the last bucket is
-    /// open-ended).
+    /// runs, in power-of-two buckets: bucket `i` holds `[2^i, 2^(i+1))`,
+    /// bucket 0 holds 0–1 and the last bucket is open-ended. Exact
+    /// per-run distributions come from [`analysis::profile`].
     latency_buckets: [AtomicU64; 24],
     /// Latency samples recorded.
     latency_count: AtomicU64,
@@ -207,7 +206,7 @@ impl ServerMetrics {
             }
             out.push_str(&format!(
                 "campaign_run_latency_cycles_bucket{{le=\"{}\"}} {cumulative}\n",
-                LatencyHistogram::bucket_floor(i + 1) - 1
+                (1u64 << (i + 1)) - 1
             ));
         }
         out.push_str(&format!(

@@ -187,6 +187,7 @@
 //!
 //! ```
 //! use ahbplus::{BusModel, PlatformConfig};
+//! use analysis::profile::{Profile, ProfileOptions};
 //! use traffic::pattern_a;
 //!
 //! let config = PlatformConfig::new(pattern_a(), 10, 7);
@@ -195,10 +196,10 @@
 //! tlm.run();
 //! let log = tlm.take_trace().expect("tracing was on");
 //! assert!(!log.events.is_empty());
-//! // Derived counter/histogram registry: per-master latency histograms,
-//! // DRAM bank hit/miss, write-buffer and bridge-FIFO peaks.
-//! let metrics = log.metrics();
-//! assert!(metrics.counters.spans > 0);
+//! // Exact per-master latency distributions and their attribution.
+//! let profile = Profile::from_log(&log, ProfileOptions::default());
+//! assert_eq!(profile.masters.len(), 4);
+//! assert!(profile.overall.count > 0);
 //! // Exporters: chrome://tracing / Perfetto JSON, or compact JSON lines.
 //! assert!(log.to_perfetto_json("demo").contains("\"traceEvents\""));
 //! assert!(log.to_json_lines().contains("\"kind\""));
@@ -361,7 +362,7 @@ pub use ahb_tlm::{TlmConfig, TlmSystem};
 pub use amba::{AhbPlusParams, ArbiterConfig, ArbitrationFilter};
 pub use analysis::{
     AccuracyBenchRecord, AccuracyReport, BusModel, ModelComparison, ModelKind, Probe, SimReport,
-    SpeedReport, TraceEvent, TraceLog, TraceMetrics, Tracer,
+    SpeedReport, TraceEvent, TraceLog, Tracer,
 };
 pub use ddrc::{DdrConfig, DdrController, DdrGeometry, DdrTiming};
 pub use traffic::{pattern_a, pattern_b, pattern_c, MasterProfile, TrafficPattern, Workload};

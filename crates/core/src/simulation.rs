@@ -233,7 +233,7 @@ impl<M: BusModel> Simulation<M> {
     }
 
     /// Final report plus the collected snapshots, consuming the driver.
-    pub fn into_report(mut self) -> (SimReport, Vec<Probe>) {
+    pub fn into_report(self) -> (SimReport, Vec<Probe>) {
         (self.model.report(), self.snapshots)
     }
 }

@@ -39,7 +39,7 @@
 //! * [`signal`] — two-phase registers/signals with edge detection.
 //! * [`rng`] — deterministic pseudo random number generation so that the
 //!   RTL and TLM runs replay bit-identical stimulus.
-//! * [`stats`] — event counters and integer cycle-count statistics.
+//! * [`stats`] — event counters.
 //! * [`assertion`] — simulation-time property checking (paper §3.5).
 //!
 //! # Example
@@ -72,5 +72,5 @@ pub use assertion::{AssertionKind, AssertionSink, Severity, Violation};
 pub use component::Clocked;
 pub use rng::SimRng;
 pub use signal::{Edge, Register, Signal};
-pub use stats::{Counter, CycleStats};
+pub use stats::Counter;
 pub use time::{Cycle, CycleDelta};

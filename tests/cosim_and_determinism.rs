@@ -20,7 +20,7 @@ fn single_cycle_stepping_is_deterministic_on_both_backends() {
         stepped_tlm.step(CycleDelta::new(1));
     }
     assert!(
-        one_shot_tlm.metrics_eq(&TlmSystem::report(&mut stepped_tlm)),
+        one_shot_tlm.metrics_eq(&TlmSystem::report(&stepped_tlm)),
         "TLM: step(1) to completion must equal run()"
     );
 
@@ -30,7 +30,7 @@ fn single_cycle_stepping_is_deterministic_on_both_backends() {
         stepped_rtl.step(CycleDelta::new(1));
     }
     assert!(
-        one_shot_rtl.metrics_eq(&RtlSystem::report(&mut stepped_rtl)),
+        one_shot_rtl.metrics_eq(&RtlSystem::report(&stepped_rtl)),
         "RTL: step(1) to completion must equal run()"
     );
 }

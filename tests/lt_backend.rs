@@ -86,7 +86,7 @@ fn lt_step_one_matches_one_shot_run_through_the_trait() {
         guard += 1;
         assert!(guard < 1_000_000, "stepping must terminate");
     }
-    let report = BusModel::report(&mut stepped);
+    let report = BusModel::report(&stepped);
     assert!(
         one_shot.metrics_eq(&report),
         "step(1)-driven LT run must be metrically identical to run()"
