@@ -63,7 +63,7 @@ impl Default for BridgeConfig {
 
 /// Configuration of a multi-bus AHB+ platform: the declarative
 /// [`Topology`] (shard backends, window map, links, read-crossing mode)
-/// plus the per-shard bus/DDR parameters and the execution policy. For a
+/// plus the per-shard bus/DDR parameters and the quantum schedule. For a
 /// uniform topology the shard count is implied by the per-shard traffic
 /// patterns handed to [`crate::MultiSystem::from_shard_patterns`]; a
 /// heterogeneous topology fixes it.
@@ -82,17 +82,6 @@ pub struct MultiConfig {
     /// crossing latency (the largest causally safe value); an explicit
     /// quantum is clamped into `[1, min_crossing_latency]`.
     pub quantum: Option<u64>,
-    /// Execute shards on worker threads (`true`) or in-line on the
-    /// calling thread (`false`). Both modes run the identical barrier and
-    /// exchange schedule and produce probe-identical results; threading
-    /// only changes wall-clock time.
-    pub threaded: bool,
-    /// Threaded-mode barrier choice: `Some(true)` forces the spin
-    /// barrier, `Some(false)` the blocking `std::sync::Barrier`, `None`
-    /// picks by host core count (spin on > 2 cores — see
-    /// [`crate::sync::default_spin_sync`]). Purely a wall-clock knob:
-    /// both barriers run the identical exchange schedule.
-    pub spin_sync: Option<bool>,
     /// Adaptive lookahead: when `true` the scheduler stretches the
     /// quantum past the fixed value whenever every shard proves (via its
     /// `next_possible_crossing` bound) that no crossing can be issued
@@ -126,8 +115,6 @@ impl MultiConfig {
             ddr: DdrConfig::ahb_plus(),
             max_cycles: 5_000_000,
             quantum: None,
-            threaded: false,
-            spin_sync: None,
             lookahead: false,
             max_stretch: None,
         }
@@ -169,23 +156,6 @@ impl MultiConfig {
         self
     }
 
-    /// Returns a copy running shards on worker threads (or not).
-    #[must_use]
-    pub fn with_threaded(mut self, threaded: bool) -> Self {
-        self.threaded = threaded;
-        self
-    }
-
-    /// Returns a copy forcing the threaded scheduler's barrier choice:
-    /// `true` spins at the quantum barrier (fastest on dedicated cores),
-    /// `false` parks in the kernel. Without this call the platform picks
-    /// by host core count.
-    #[must_use]
-    pub fn with_spin_sync(mut self, spin_sync: bool) -> Self {
-        self.spin_sync = Some(spin_sync);
-        self
-    }
-
     /// Returns a copy with adaptive lookahead enabled (or disabled).
     #[must_use]
     pub fn with_lookahead(mut self, lookahead: bool) -> Self {
@@ -212,14 +182,6 @@ impl MultiConfig {
         self.quantum
             .unwrap_or(min_latency)
             .clamp(1, min_latency.max(1))
-    }
-
-    /// Whether a threaded advance spins at the barrier: the explicit
-    /// choice, or the host-core-count default.
-    #[must_use]
-    pub fn effective_spin_sync(&self) -> bool {
-        self.spin_sync
-            .unwrap_or_else(crate::sync::default_spin_sync)
     }
 
     /// The effective per-barrier stretch bound: the explicit override, or
@@ -269,8 +231,6 @@ mod tests {
     fn builders_replace_fields() {
         let config = MultiConfig::new(ShardBackendKind::Lt)
             .with_max_cycles(77)
-            .with_threaded(true)
-            .with_spin_sync(false)
             .with_bridge(BridgeConfig {
                 crossing_latency: 32,
                 fifo_depth: 4,
@@ -282,8 +242,6 @@ mod tests {
             vec![ShardBackendKind::Lt, ShardBackendKind::Lt]
         );
         assert_eq!(config.max_cycles, 77);
-        assert!(config.threaded);
-        assert!(!config.effective_spin_sync());
         assert_eq!(config.effective_quantum(2), 32);
     }
 

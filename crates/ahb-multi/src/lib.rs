@@ -25,13 +25,11 @@
 //! all bridge links, so a shard simulating one quantum ahead can never
 //! miss a remote effect — crossings issued during a quantum are
 //! exchanged at the barrier and always released at or after it. Shards
-//! therefore run *freely* inside a quantum, either in-line (the
-//! single-threaded reference mode) or on one worker thread each
-//! (`std::thread::scope`, parking at a blocking barrier or busy-waiting
-//! at a [`SpinBarrier`] — see [`MultiConfig::with_spin_sync`]); all
-//! modes execute the identical barrier/exchange schedule and are
-//! probe-identical, which the test suite verifies by lockstep
-//! co-simulation.
+//! therefore run *freely* inside a quantum, one after another on the
+//! calling thread, and the order they run in cannot change the results.
+//! There is one scheduler: a quantum of shard work is shorter than a
+//! thread rendezvous, so a worker thread per shard would spend more time
+//! waiting at barriers than it saves.
 //!
 //! On top of the fixed quantum sits an optional **adaptive lookahead**
 //! scheduler ([`MultiConfig::with_lookahead`]): at a barrier where no
@@ -99,13 +97,11 @@
 
 pub mod config;
 pub mod link;
-pub mod sync;
 pub mod system;
 pub mod topology;
 
 pub use config::{BridgeConfig, MultiConfig, ShardBackendKind};
 pub use link::BridgeLink;
-pub use sync::{SpinBarrier, SyncBarrier};
 pub use system::{
     bridge_master, partition_by_window, partition_round_robin, MultiSystem, MAX_TRAFFIC_MASTER_ID,
 };
@@ -119,8 +115,8 @@ mod tests {
     use simkern::time::CycleDelta;
     use traffic::{pattern_a, pattern_shards, ShardMix, TrafficPattern, Workload};
 
-    fn small(backend: ShardBackendKind, mix: ShardMix, threaded: bool) -> MultiSystem {
-        let config = MultiConfig::new(backend).with_threaded(threaded);
+    fn small(backend: ShardBackendKind, mix: ShardMix) -> MultiSystem {
+        let config = MultiConfig::new(backend);
         let patterns = pattern_shards(2, 4, mix);
         MultiSystem::from_shard_patterns(&config, &patterns, 40, 9)
     }
@@ -150,7 +146,7 @@ mod tests {
             ] {
                 let patterns = pattern_shards(2, 4, mix);
                 let (txns, bytes, beats) = workload_totals(&patterns, 40, 9);
-                let mut system = small(backend, mix, false);
+                let mut system = small(backend, mix);
                 let report = system.run();
                 let probe = system.probe();
                 assert!(system.is_finished());
@@ -164,25 +160,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_mode_matches_the_single_threaded_reference() {
-        for backend in [ShardBackendKind::Tlm, ShardBackendKind::Lt] {
-            let mut single = small(backend, ShardMix::BridgeHeavy, false);
-            let mut threaded = small(backend, ShardMix::BridgeHeavy, true);
-            let single_report = single.run();
-            let threaded_report = threaded.run();
-            assert!(
-                single_report.metrics_eq(&threaded_report),
-                "{backend:?}: threaded shards must be metrically identical"
-            );
-            assert_eq!(single.probe(), threaded.probe());
-            assert_eq!(single.shard_probes(), threaded.shard_probes());
-        }
-    }
-
-    #[test]
     fn bridge_heavy_mix_crosses_more_than_local_heavy() {
-        let mut local = small(ShardBackendKind::Tlm, ShardMix::LocalHeavy, false);
-        let mut bridge = small(ShardBackendKind::Tlm, ShardMix::BridgeHeavy, false);
+        let mut local = small(ShardBackendKind::Tlm, ShardMix::LocalHeavy);
+        let mut bridge = small(ShardBackendKind::Tlm, ShardMix::BridgeHeavy);
         local.run();
         bridge.run();
         assert!(local.crossings() > 0, "local-heavy still posts across");
@@ -221,8 +201,8 @@ mod tests {
 
     #[test]
     fn bounded_stepping_matches_one_shot_run() {
-        let one_shot = small(ShardBackendKind::Lt, ShardMix::AllToAll, false).run();
-        let mut stepped = small(ShardBackendKind::Lt, ShardMix::AllToAll, false);
+        let one_shot = small(ShardBackendKind::Lt, ShardMix::AllToAll).run();
+        let mut stepped = small(ShardBackendKind::Lt, ShardMix::AllToAll);
         let mut guard = 0u64;
         while !BusModel::finished(&stepped) {
             stepped.step(CycleDelta::ONE);
@@ -275,7 +255,7 @@ mod tests {
 
     #[test]
     fn report_is_idempotent_and_excludes_bridge_masters() {
-        let mut system = small(ShardBackendKind::Tlm, ShardMix::BridgeHeavy, false);
+        let mut system = small(ShardBackendKind::Tlm, ShardMix::BridgeHeavy);
         system.run_until(simkern::time::Cycle::new(3_000));
         let first = system.report();
         let second = system.report();

@@ -16,13 +16,13 @@
 //! The quantum equals the bridge's minimum crossing latency, so a
 //! crossing issued inside quantum `k` can never be released before the
 //! barrier ending quantum `k` — no shard can observe a remote effect it
-//! should not yet see, regardless of execution order. That makes the
-//! schedule *conservative* in the parallel-discrete-event sense, and it is
-//! why the two execution modes — in-line on the calling thread, or one
-//! worker thread per shard under `std::thread::scope` — run the identical
-//! barrier/exchange schedule and produce probe-identical results. The
-//! single-threaded mode is the reference implementation; the threaded
-//! mode only changes wall-clock time.
+//! should not yet see, regardless of the order the shards run in. That
+//! makes the schedule *conservative* in the parallel-discrete-event sense.
+//! The shards run one after another on the calling thread: with a
+//! 96-cycle quantum a shard has well under a microsecond of work per
+//! barrier, less than one thread rendezvous costs, so the platform has
+//! one scheduler and the adaptive lookahead is its only lever on
+//! synchronization cost.
 //!
 //! The platform itself implements [`BusModel`]: its probe aggregates the
 //! shard probes (counting every workload transaction exactly once — the
@@ -33,12 +33,11 @@
 //! comparable across shard counts: the platform simulates N buses of
 //! hardware per elapsed barrier cycle.
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use ahb_lt::{LtConfig, LtSystem};
 use ahb_tlm::{TlmConfig, TlmSystem};
-use amba::bridge::{BridgePort, CrossingLeg, ReplayStats, WindowMap};
+use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats, WindowMap};
 use amba::ids::MasterId;
 use amba::txn::{Transaction, TransactionId};
 use analysis::model::{BusModel, Probe, SyncStats};
@@ -50,7 +49,6 @@ use traffic::TrafficPattern;
 
 use crate::config::{MultiConfig, ShardBackendKind};
 use crate::link::BridgeLink;
-use crate::sync::SyncBarrier;
 
 /// Highest master identifier usable by shard traffic; identifiers above
 /// it are reserved for the per-shard bridge replay masters
@@ -101,7 +99,7 @@ impl ShardEngine {
 
     /// Drains the egress log into `out` (cleared first), recycling the
     /// buffer's capacity across quanta instead of allocating per batch.
-    fn drain_egress_into(&mut self, out: &mut Vec<amba::bridge::BridgeCrossing>) {
+    fn drain_egress_into(&mut self, out: &mut Vec<BridgeCrossing>) {
         match self {
             ShardEngine::Tlm(s) => s.drain_egress_into(out),
             ShardEngine::Lt(s) => s.drain_egress_into(out),
@@ -207,58 +205,42 @@ impl Delivery {
     }
 }
 
-/// Per-quantum exchange buffers, reused across barriers.
-struct QuantumBuffers {
-    /// Crossings drained from each shard this quantum.
-    outbox: Vec<Vec<amba::bridge::BridgeCrossing>>,
+/// The bridge fabric between the shards: the directed links, the
+/// deliveries routed at the current barrier and the crossing counters.
+struct Fabric {
+    map: WindowMap,
+    /// Directed links, indexed `source * shards + destination`.
+    links: Vec<BridgeLink>,
+    /// The egress of the shard being routed, reused across quanta so a
+    /// crossing batch never allocates.
+    egress: Vec<BridgeCrossing>,
     /// Routed deliveries per destination shard: `(release cycle, what)`.
     inbox: Vec<Vec<(u64, Delivery)>>,
-    /// Each shard's completion flag, sampled after its quantum and before
-    /// any injection.
-    finished: Vec<bool>,
+    crossings: u64,
+    fifo_peak: u64,
 }
 
-impl QuantumBuffers {
-    fn new(shards: usize) -> Self {
-        QuantumBuffers {
-            outbox: (0..shards).map(|_| Vec::new()).collect(),
-            inbox: (0..shards).map(|_| Vec::new()).collect(),
-            finished: vec![false; shards],
-        }
-    }
-}
-
-/// Routes every drained crossing through its bridge link and into the
-/// destination inbox. Deterministic: sources are visited in shard order,
-/// crossings in local completion order, and each inbox is stably sorted
-/// by release time. Request legs route to the shard owning the address;
-/// response legs route back to the origin shard over the reverse-direction
-/// link (sharing its FIFO with requests travelling that way). Shared
-/// verbatim by the single-threaded reference and the threaded leader,
-/// which is what makes the two modes probe-identical.
-fn route_quantum(
-    map: &WindowMap,
-    links: &mut [BridgeLink],
-    buffers: &mut QuantumBuffers,
-    crossings: &mut u64,
-    fifo_peak: &mut u64,
-) {
-    let shards = buffers.outbox.len();
-    let QuantumBuffers { outbox, inbox, .. } = buffers;
-    for src in 0..shards {
-        // Drain in place: the outbox keeps its capacity for the next
-        // quantum instead of bouncing an allocation per crossing batch.
-        for crossing in outbox[src].drain(..) {
+impl Fabric {
+    /// Routes shard `src`'s drained egress through its bridge links into
+    /// the destination inboxes. Request legs route to the shard owning
+    /// the address; response legs route back to the origin shard over the
+    /// reverse-direction link (sharing its FIFO with requests travelling
+    /// that way). Routing a shard right after its quantum is exact: a
+    /// link only carries its source's crossings, and nothing is injected
+    /// before every shard has run to the barrier.
+    fn route(&mut self, src: usize) {
+        let shards = self.inbox.len();
+        for crossing in self.egress.drain(..) {
             let (dst, delivery) = match crossing.leg {
                 CrossingLeg::Posted => (
-                    usize::from(map.owner(crossing.txn.addr)),
+                    usize::from(self.map.owner(crossing.txn.addr)),
                     Delivery::Replay {
                         txn: crossing.txn,
                         respond_to: None,
                     },
                 ),
                 CrossingLeg::NonPostedRead { origin } => (
-                    usize::from(map.owner(crossing.txn.addr)),
+                    usize::from(self.map.owner(crossing.txn.addr)),
                     Delivery::Replay {
                         txn: crossing.txn,
                         respond_to: Some(origin),
@@ -270,54 +252,33 @@ fn route_quantum(
                 ),
             };
             debug_assert_ne!(dst, src, "local transaction routed across the bridge");
-            let link = &mut links[src * shards + dst];
-            let (arrival, occupancy) = link.forward(crossing.issued_at.value());
-            *crossings += 1;
-            *fifo_peak = (*fifo_peak).max(occupancy as u64);
-            inbox[dst].push((arrival, delivery));
+            let (arrival, occupancy) =
+                self.links[src * shards + dst].forward(crossing.issued_at.value());
+            self.crossings += 1;
+            self.fifo_peak = self.fifo_peak.max(occupancy as u64);
+            self.inbox[dst].push((arrival, delivery));
         }
     }
-    for inbox in inbox.iter_mut() {
-        inbox.sort_by_key(|(at, delivery)| {
-            let (rank, master, id) = delivery.sort_key();
-            (*at, rank, master, id)
-        });
-    }
-}
 
-/// Shared state of one threaded advance: the exchange buffers plus the
-/// routing state the leader thread updates between the two barrier waits
-/// of each quantum.
-struct Exchange {
-    buffers: QuantumBuffers,
-    links: Vec<BridgeLink>,
-    crossings: u64,
-    fifo_peak: u64,
-    barrier: u64,
-    stop: bool,
-    /// Per-shard lookahead bounds deposited alongside the egress (only
-    /// meaningful when lookahead is enabled).
-    bounds: Vec<u64>,
-    /// The barrier every worker runs to next, published by the leader
-    /// between the two waits of a quantum.
-    next_target: u64,
-    barriers: u64,
-    stretched: u64,
-    cycles_gained: u64,
-    /// The platform's scheduler-event tracer (barriers, stretches),
-    /// moved in from the system for the duration of a threaded advance
-    /// so the leader records into it under the exchange lock.
-    tracer: Tracer,
+    /// Orders every inbox for injection. Deterministic: sources were
+    /// routed in shard order and crossings in local completion order, and
+    /// the stable sort by release time breaks ties by
+    /// [`Delivery::sort_key`].
+    fn sort_inboxes(&mut self) {
+        for inbox in &mut self.inbox {
+            inbox.sort_by_key(|(at, delivery)| {
+                let (rank, master, id) = delivery.sort_key();
+                (*at, rank, master, id)
+            });
+        }
+    }
 }
 
 /// The multi-bus AHB+ platform.
 pub struct MultiSystem {
     kind: ModelKind,
-    map: WindowMap,
     quantum: u64,
     max_cycles: u64,
-    threaded: bool,
-    spin_sync: bool,
     /// Adaptive lookahead: stretch the quantum past the fixed value when
     /// every shard proves no crossing can be issued before the stretched
     /// barrier. Off → the fixed schedule, byte for byte.
@@ -326,17 +287,13 @@ pub struct MultiSystem {
     max_stretch: u64,
     shards: Vec<ShardEngine>,
     bridge_ids: Vec<MasterId>,
-    /// Directed links, indexed `source * shards + destination`.
-    links: Vec<BridgeLink>,
-    buffers: QuantumBuffers,
+    fabric: Fabric,
     /// The synchronized barrier clock (the platform's `now`).
     barrier: u64,
-    /// The committed end of the quantum in flight: both execution modes
-    /// run every shard to exactly this barrier next, so bounded stepping
-    /// re-enters the identical schedule a one-shot run would take.
+    /// The committed end of the quantum in flight: every shard runs to
+    /// exactly this barrier next, so bounded stepping re-enters the
+    /// identical schedule a one-shot run would take.
     next_target: u64,
-    crossings: u64,
-    fifo_peak: u64,
     /// Barriers taken / barriers stretched past the fixed quantum /
     /// simulated cycles gained by those stretches (sync observability —
     /// kept out of [`Probe`] so probe-equality stays a statement about
@@ -453,21 +410,22 @@ impl MultiSystem {
         };
         MultiSystem {
             kind,
-            map,
             quantum,
             max_cycles: config.max_cycles,
-            threaded: config.threaded,
-            spin_sync: config.effective_spin_sync(),
             lookahead: config.lookahead,
             max_stretch: config.effective_max_stretch(quantum),
             shards: engines,
             bridge_ids,
-            links,
-            buffers: QuantumBuffers::new(shards),
+            fabric: Fabric {
+                map,
+                links,
+                egress: Vec::new(),
+                inbox: (0..shards).map(|_| Vec::new()).collect(),
+                crossings: 0,
+                fifo_peak: 0,
+            },
             barrier: 0,
             next_target: quantum.min(config.max_cycles),
-            crossings: 0,
-            fifo_peak: 0,
             barriers: 0,
             stretched: 0,
             cycles_gained: 0,
@@ -491,7 +449,7 @@ impl MultiSystem {
     /// Total crossings forwarded over all bridge links so far.
     #[must_use]
     pub fn crossings(&self) -> u64 {
-        self.crossings
+        self.fabric.crossings
     }
 
     /// Barriers taken so far.
@@ -537,8 +495,7 @@ impl MultiSystem {
     /// events into one deterministic log (stable `(cycle, shard, seq)`
     /// order), filling the platform-level bridge counters. The merged
     /// stream is a pure function of the simulated schedule, so it is
-    /// byte-identical across the single-threaded, threaded and spin-sync
-    /// execution modes.
+    /// byte-identical however the run was stepped.
     pub fn take_trace_log(&mut self) -> TraceLog {
         let mut parts: Vec<TraceLog> = self
             .shards
@@ -547,8 +504,8 @@ impl MultiSystem {
             .collect();
         parts.push(self.tracer.take());
         let mut log = TraceLog::merge(parts);
-        log.counters.crossings = self.crossings;
-        log.counters.bridge_fifo_peak = self.fifo_peak;
+        log.counters.crossings = self.fabric.crossings;
+        log.counters.bridge_fifo_peak = self.fabric.fifo_peak;
         log
     }
 
@@ -572,12 +529,7 @@ impl MultiSystem {
     /// enabled a quantum may span up to the configured stretch bound.
     pub fn run_until(&mut self, target: Cycle) -> Cycle {
         let wall = Instant::now();
-        let end = target.value().min(self.max_cycles);
-        if self.threaded {
-            self.advance_threaded(end);
-        } else {
-            self.advance_single(end);
-        }
+        self.advance(target.value().min(self.max_cycles));
         self.wall_seconds += wall.elapsed().as_secs_f64();
         Cycle::new(self.barrier)
     }
@@ -593,66 +545,48 @@ impl MultiSystem {
     ///
     /// Returns `(target, gained)` where `gained` is how many cycles the
     /// stretch added over the fixed schedule (zero when not stretched).
-    fn commit_next_target(
-        lookahead: bool,
-        quiet: bool,
-        bound: u64,
-        next: u64,
-        quantum: u64,
-        max_stretch: u64,
-        max_cycles: u64,
-    ) -> (u64, u64) {
-        let fixed = (next + quantum).min(max_cycles);
-        if !(lookahead && quiet) {
+    fn commit_next_target(&self, quiet: bool, bound: u64, next: u64) -> (u64, u64) {
+        let fixed = (next + self.quantum).min(self.max_cycles);
+        if !(self.lookahead && quiet) {
             return (fixed, 0);
         }
         let target = bound
-            .saturating_add(quantum)
-            .min(next.saturating_add(max_stretch))
-            .min(max_cycles)
+            .saturating_add(self.quantum)
+            .min(next.saturating_add(self.max_stretch))
+            .min(self.max_cycles)
             .max(fixed);
         (target, target - fixed)
     }
 
-    /// The single-threaded reference schedule: per quantum, run every
-    /// shard in order, route, inject, repeat. The barrier each iteration
-    /// runs to was committed at the previous barrier (`next_target`), so
-    /// the schedule is a pure function of the shard states — identical
-    /// in both execution modes and across bounded stepping.
-    fn advance_single(&mut self, end: u64) {
+    /// The quantum schedule: per barrier, run every shard in order and
+    /// route its egress, then inject the routed deliveries. The barrier
+    /// each iteration runs to was committed at the previous barrier
+    /// (`next_target`), so the schedule is a pure function of the shard
+    /// states and bounded stepping re-enters it exactly.
+    fn advance(&mut self, end: u64) {
         if self.barrier >= end || self.is_finished() {
             return;
         }
         loop {
             let next = self.next_target;
             let mut bound = u64::MAX;
+            // Each shard's completion flag is sampled after its quantum
+            // and before any injection.
+            let mut finished = true;
             for (index, shard) in self.shards.iter_mut().enumerate() {
                 shard.run_until(next);
-                shard.drain_egress_into(&mut self.buffers.outbox[index]);
-                self.buffers.finished[index] = shard.finished();
+                shard.drain_egress_into(&mut self.fabric.egress);
+                finished &= shard.finished();
                 if self.lookahead {
                     bound = bound.min(shard.next_possible_crossing());
                 }
+                self.fabric.route(index);
             }
-            route_quantum(
-                &self.map,
-                &mut self.links,
-                &mut self.buffers,
-                &mut self.crossings,
-                &mut self.fifo_peak,
-            );
+            self.fabric.sort_inboxes();
             self.barrier = next;
             self.barriers += 1;
-            let quiet = self.buffers.inbox.iter().all(Vec::is_empty);
-            let (target, gained) = Self::commit_next_target(
-                self.lookahead,
-                quiet,
-                bound,
-                next,
-                self.quantum,
-                self.max_stretch,
-                self.max_cycles,
-            );
+            let quiet = self.fabric.inbox.iter().all(Vec::is_empty);
+            let (target, gained) = self.commit_next_target(quiet, bound, next);
             self.next_target = target;
             self.tracer.barrier(next, target.saturating_sub(next));
             if gained > 0 {
@@ -660,10 +594,8 @@ impl MultiSystem {
                 self.cycles_gained += gained;
                 self.tracer.stretch(next, gained);
             }
-            let drained = self.buffers.finished.iter().all(|&f| f) && quiet;
-            let stop = drained || next >= end;
-            for (index, shard) in self.shards.iter_mut().enumerate() {
-                for (at, delivery) in self.buffers.inbox[index].drain(..) {
+            for (shard, inbox) in self.shards.iter_mut().zip(&mut self.fabric.inbox) {
+                for (at, delivery) in inbox.drain(..) {
                     match delivery {
                         Delivery::Replay { txn, respond_to } => {
                             shard.inject_crossing(txn, at, respond_to);
@@ -672,136 +604,10 @@ impl MultiSystem {
                     }
                 }
             }
-            if stop {
+            if (finished && quiet) || next >= end {
                 break;
             }
         }
-    }
-
-    /// The threaded schedule: one worker per shard, two barrier waits per
-    /// quantum (deposit egress → leader routes → inject), executing the
-    /// *same* exchange code as [`MultiSystem::advance_single`] on the
-    /// same barrier clock — probe-identical by construction.
-    fn advance_threaded(&mut self, end: u64) {
-        if self.barrier >= end || self.is_finished() {
-            return;
-        }
-        let shards = self.shards.len();
-        let quantum = self.quantum;
-        let max = self.max_cycles;
-        let lookahead = self.lookahead;
-        let max_stretch = self.max_stretch;
-        let map = self.map.clone();
-        let map = &map;
-        let first = self.next_target;
-        let sync = SyncBarrier::new(shards, self.spin_sync);
-        let exchange = Mutex::new(Exchange {
-            buffers: std::mem::replace(&mut self.buffers, QuantumBuffers::new(0)),
-            links: std::mem::take(&mut self.links),
-            crossings: self.crossings,
-            fifo_peak: self.fifo_peak,
-            barrier: self.barrier,
-            stop: false,
-            bounds: vec![u64::MAX; shards],
-            next_target: first,
-            barriers: self.barriers,
-            stretched: self.stretched,
-            cycles_gained: self.cycles_gained,
-            tracer: std::mem::replace(&mut self.tracer, Tracer::disabled()),
-        });
-        std::thread::scope(|scope| {
-            for (index, shard) in self.shards.iter_mut().enumerate() {
-                let sync = &sync;
-                let exchange = &exchange;
-                scope.spawn(move || {
-                    let mut next = first;
-                    // Worker-local scratch buffers, swapped with the shared
-                    // exchange slots under the lock: the egress and inbox
-                    // capacities ping-pong between worker and leader
-                    // instead of reallocating every quantum.
-                    let mut egress = Vec::new();
-                    let mut batch = Vec::new();
-                    loop {
-                        shard.run_until(next);
-                        shard.drain_egress_into(&mut egress);
-                        let finished = shard.finished();
-                        let bound = if lookahead {
-                            shard.next_possible_crossing()
-                        } else {
-                            u64::MAX
-                        };
-                        {
-                            let mut guard = exchange.lock().expect("no panics hold the lock");
-                            std::mem::swap(&mut guard.buffers.outbox[index], &mut egress);
-                            guard.buffers.finished[index] = finished;
-                            guard.bounds[index] = bound;
-                        }
-                        if sync.wait() {
-                            let mut guard = exchange.lock().expect("no panics hold the lock");
-                            let guard = &mut *guard;
-                            route_quantum(
-                                map,
-                                &mut guard.links,
-                                &mut guard.buffers,
-                                &mut guard.crossings,
-                                &mut guard.fifo_peak,
-                            );
-                            guard.barrier = next;
-                            guard.barriers += 1;
-                            let quiet = guard.buffers.inbox.iter().all(Vec::is_empty);
-                            let bound = guard.bounds.iter().copied().min().unwrap_or(u64::MAX);
-                            let (target, gained) = MultiSystem::commit_next_target(
-                                lookahead,
-                                quiet,
-                                bound,
-                                next,
-                                quantum,
-                                max_stretch,
-                                max,
-                            );
-                            guard.next_target = target;
-                            guard.tracer.barrier(next, target.saturating_sub(next));
-                            if gained > 0 {
-                                guard.stretched += 1;
-                                guard.cycles_gained += gained;
-                                guard.tracer.stretch(next, gained);
-                            }
-                            let drained = guard.buffers.finished.iter().all(|&f| f) && quiet;
-                            guard.stop = drained || next >= end;
-                        }
-                        sync.wait();
-                        let (stop, following) = {
-                            let mut guard = exchange.lock().expect("no panics hold the lock");
-                            std::mem::swap(&mut guard.buffers.inbox[index], &mut batch);
-                            (guard.stop, guard.next_target)
-                        };
-                        for (at, delivery) in batch.drain(..) {
-                            match delivery {
-                                Delivery::Replay { txn, respond_to } => {
-                                    shard.inject_crossing(txn, at, respond_to);
-                                }
-                                Delivery::Response { txn } => shard.inject_response(txn.id, at),
-                            }
-                        }
-                        if stop {
-                            break;
-                        }
-                        next = following;
-                    }
-                });
-            }
-        });
-        let exchange = exchange.into_inner().expect("workers have exited");
-        self.buffers = exchange.buffers;
-        self.links = exchange.links;
-        self.crossings = exchange.crossings;
-        self.fifo_peak = exchange.fifo_peak;
-        self.barrier = exchange.barrier;
-        self.next_target = exchange.next_target;
-        self.barriers = exchange.barriers;
-        self.stretched = exchange.stretched;
-        self.cycles_gained = exchange.cycles_gained;
-        self.tracer = exchange.tracer;
     }
 
     /// Aggregates the shard probes in one pass: the summed probe with
@@ -848,8 +654,8 @@ impl MultiSystem {
         aggregate.transactions = unreplayed(aggregate.transactions, replays.transactions);
         aggregate.bytes = unreplayed(aggregate.bytes, replays.bytes);
         aggregate.data_beats = unreplayed(aggregate.data_beats, replays.data_beats);
-        aggregate.bridge_crossings = self.crossings;
-        aggregate.bridge_fifo_peak = self.fifo_peak;
+        aggregate.bridge_crossings = self.fabric.crossings;
+        aggregate.bridge_fifo_peak = self.fabric.fifo_peak;
         (aggregate, bus_cycles)
     }
 

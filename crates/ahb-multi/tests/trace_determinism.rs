@@ -3,10 +3,11 @@
 //!
 //! Two statements are asserted over randomly sampled platform shapes:
 //!
-//! 1. the full merged stream (lifecycle + scheduler events) is
-//!    byte-identical across the three scheduler execution modes —
-//!    single-threaded, threaded with blocking sync, threaded with spin
-//!    sync — because all three run the identical barrier schedule;
+//! 1. the full merged stream (lifecycle + scheduler events) of a one-shot
+//!    `run()` is byte-identical to that of a run stepped by `run_until` in
+//!    odd increments, because the barrier each step runs to was committed
+//!    at the previous barrier (`next_target`), so stepping re-enters the
+//!    identical schedule;
 //! 2. the *lifecycle* stream (scheduler events filtered out) is
 //!    byte-identical between the fixed-quantum and adaptive-lookahead
 //!    schedules, because a lookahead stretch changes when shards
@@ -15,6 +16,7 @@
 use ahb_multi::{MultiConfig, MultiSystem, ShardBackendKind};
 use analysis::trace::TraceLog;
 use proptest::prelude::*;
+use simkern::time::Cycle;
 use traffic::{pattern_shards, ShardMix};
 
 /// One sampled platform shape.
@@ -28,11 +30,9 @@ struct Shape {
     seed: u64,
 }
 
-fn build(shape: Shape, threaded: bool, spin: bool, lookahead: bool) -> MultiSystem {
+fn build(shape: Shape, lookahead: bool) -> MultiSystem {
     let config = MultiConfig::new(shape.backend)
         .with_max_cycles(500_000)
-        .with_threaded(threaded)
-        .with_spin_sync(spin)
         .with_lookahead(lookahead);
     MultiSystem::from_shard_patterns(
         &config,
@@ -47,6 +47,18 @@ fn build(shape: Shape, threaded: bool, spin: bool, lookahead: bool) -> MultiSyst
 fn traced(mut system: MultiSystem) -> TraceLog {
     system.set_tracing(true);
     system.run();
+    system.take_trace_log()
+}
+
+/// Like [`traced`], but drives the platform with `run_until` in steps of
+/// `step` cycles, so barriers and step ends rarely coincide.
+fn traced_stepped(mut system: MultiSystem, step: u64) -> TraceLog {
+    system.set_tracing(true);
+    let mut target = 0;
+    while !system.is_finished() {
+        target += step;
+        system.run_until(Cycle::new(target));
+    }
     system.take_trace_log()
 }
 
@@ -84,24 +96,22 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
 
 proptest! {
     #[test]
-    fn merged_streams_are_byte_identical_across_scheduler_modes(
+    fn merged_streams_are_byte_identical_across_bounded_stepping(
         shape in shape_strategy(),
         lookahead in prop_oneof![Just(false), Just(true)],
     ) {
-        let single = traced(build(shape, false, false, lookahead)).to_json_lines();
-        let threaded = traced(build(shape, true, false, lookahead)).to_json_lines();
-        let spin = traced(build(shape, true, true, lookahead)).to_json_lines();
-        prop_assert!(!single.is_empty(), "traced run produced no events: {shape:?}");
-        prop_assert_eq!(&single, &threaded, "threaded mode diverged: {:?}", shape);
-        prop_assert_eq!(&single, &spin, "spin mode diverged: {:?}", shape);
+        let one_shot = traced(build(shape, lookahead)).to_json_lines();
+        let stepped = traced_stepped(build(shape, lookahead), 97).to_json_lines();
+        prop_assert!(!one_shot.is_empty(), "traced run produced no events: {shape:?}");
+        prop_assert_eq!(&one_shot, &stepped, "bounded stepping diverged: {:?}", shape);
     }
 
     #[test]
     fn lifecycle_streams_are_identical_across_fixed_and_lookahead_quanta(
         shape in shape_strategy(),
     ) {
-        let fixed = traced(build(shape, false, false, false));
-        let stretched = traced(build(shape, false, false, true));
+        let fixed = traced(build(shape, false));
+        let stretched = traced(build(shape, true));
         prop_assert_eq!(
             lifecycle_lines(&fixed),
             lifecycle_lines(&stretched),

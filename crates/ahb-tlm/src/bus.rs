@@ -522,9 +522,9 @@ impl TlmSystem {
         // recomputed one and may stand; dropping it only when the release
         // lands at or before the cached cycle keeps every mode's
         // arbitration bit-identical while sparing one full re-collection
-        // and arbiter round per crossing. Both the threaded and the
-        // single-threaded platform driver inject at the same barriers, so
-        // the (non-)invalidation is deterministic too.
+        // and arbiter round per crossing. The platform injects at
+        // barriers fixed by the committed schedule, so the
+        // (non-)invalidation is deterministic too.
         if self
             .pending_fresh_at
             .is_some_and(|fresh| release_at <= fresh)

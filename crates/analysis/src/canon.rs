@@ -200,6 +200,12 @@ impl fmt::Display for CanonError {
 
 impl std::error::Error for CanonError {}
 
+/// The deepest nesting of objects and arrays [`parse`] accepts. Real
+/// specs nest a handful of levels; the bound keeps the recursive parser
+/// from overflowing the stack on hostile input such as a request body of
+/// 100,000 `[`.
+pub const MAX_NESTING_DEPTH: usize = 64;
+
 /// Parses a JSON text into the canonical value model.
 ///
 /// Accepts objects, arrays, strings (with the standard escapes),
@@ -210,11 +216,12 @@ impl std::error::Error for CanonError {}
 ///
 /// # Errors
 ///
-/// [`CanonError`] describing the first offending position.
+/// [`CanonError`] describing the first offending position, including
+/// objects and arrays nested deeper than [`MAX_NESTING_DEPTH`].
 pub fn parse(text: &str) -> Result<CanonValue, CanonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(CanonError::new(format!(
@@ -230,12 +237,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> {
+/// Parses one value whose enclosing objects and arrays number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<CanonValue, CanonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(CanonError::new("unexpected end of input")),
-        Some(b'{') => parse_map(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_NESTING_DEPTH => Err(CanonError::new(format!(
+            "nesting deeper than {MAX_NESTING_DEPTH} levels at byte {}",
+            *pos
+        ))),
+        Some(b'{') => parse_map(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(CanonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", CanonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", CanonValue::Bool(false)),
@@ -338,7 +350,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, CanonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<CanonValue, CanonError> {
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -348,7 +360,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> 
         return Ok(CanonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -365,7 +377,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> 
     }
 }
 
-fn parse_map(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> {
+fn parse_map(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<CanonValue, CanonError> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut entries = BTreeMap::new();
@@ -387,7 +399,7 @@ fn parse_map(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> {
             return Err(CanonError::new(format!("expected ':' at byte {pos}")));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         entries.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -498,6 +510,19 @@ mod tests {
         assert!(parse(r#"{"a":"#).is_err());
         assert!(parse("").is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let hostile = "[".repeat(100_000);
+        let error = parse(&hostile).unwrap_err();
+        assert!(error.to_string().contains("nesting deeper than 64"));
+        // Exactly the limit still parses, with arrays and objects alike.
+        let arrays = format!("{}{}", "[".repeat(64), "]".repeat(64));
+        assert!(parse(&arrays).is_ok());
+        let maps = format!("{}1{}", r#"{"a":"#.repeat(64), "}".repeat(64));
+        assert_eq!(parse(&maps).unwrap().to_canonical_json(), maps);
+        assert!(parse(&format!("[{arrays}]")).is_err());
     }
 
     #[test]

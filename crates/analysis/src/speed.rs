@@ -139,8 +139,6 @@ pub struct SpeedBenchRecord {
     pub seed: u64,
     /// The host's available parallelism during the measurement.
     pub host_cores: usize,
-    /// Whether the multi-bus models ran their shards on worker threads.
-    pub threaded: bool,
     /// One entry per measured model configuration.
     pub models: Vec<ModelMeasurement>,
 }
@@ -185,7 +183,6 @@ impl SpeedBenchRecord {
         );
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"host_cores\": {},", self.host_cores);
-        let _ = writeln!(out, "  \"threaded\": {},", self.threaded);
         let _ = writeln!(out, "  \"rtl_cycles\": {},", json_u64(cycles_of("rtl")));
         let _ = writeln!(out, "  \"tlm_cycles\": {},", json_u64(cycles_of("tlm")));
         let _ = writeln!(
@@ -343,7 +340,6 @@ mod tests {
             transactions_per_master: 100,
             seed: 1,
             host_cores: 2,
-            threaded: true,
             models,
         }
     }
@@ -392,7 +388,6 @@ mod tests {
             transactions_per_master: 1_000,
             seed: 2005,
             host_cores: 2,
-            threaded: true,
             models: vec![
                 measurement("rtl", 123_456, 250.5),
                 measurement("tlm", 123_400, 60_000.0),
@@ -404,7 +399,7 @@ mod tests {
         assert!(json.contains("\"workload\": \"pattern_a\""));
         // v1-compatible flat keys are derived from the model list.
         assert!(json.contains("\"rtl_cycles\": 123456"));
-        assert!(json.contains("\"host_cores\": 2,\n  \"threaded\": true,"));
+        assert!(json.contains("\"host_cores\": 2,\n  \"rtl_cycles\""));
         assert!(json.contains("\"tlm_kcycles_per_sec\": 60000"));
         assert!(json.contains("\"paper_reference\""));
         assert!(json.contains("\"speedup\""));

@@ -2,11 +2,14 @@
 //! barrier costs when nothing crosses, and how much of that cost the
 //! adaptive lookahead scheduler removes by stretching quiet quanta.
 //!
-//! The workload is deliberately bridge-free (every master local to its
+//! The shards run one after another on one thread, so a barrier costs
+//! one route-and-inject step: draining each shard's egress through the
+//! bridge links, sorting the inboxes and injecting the deliveries. The
+//! workload is deliberately bridge-free (every master local to its
 //! shard) and the quantum deliberately tiny, so almost every simulated
-//! cycle is barrier/exchange overhead: the fixed-quantum run takes a
-//! barrier every few cycles, while the lookahead run proves the platform
-//! quiet and leaps ahead. The pair quantifies the per-barrier cost the
+//! cycle is barrier overhead: the fixed-quantum run takes a barrier
+//! every few cycles, while the lookahead run proves the platform quiet
+//! and leaps ahead. The pair quantifies the per-barrier cost the
 //! `sharded-*-la` speed configurations amortize.
 
 use ahb_multi::{MultiConfig, MultiSystem, ShardBackendKind};
@@ -53,31 +56,5 @@ fn bench_quiet_advance(c: &mut Criterion) {
     group.finish();
 }
 
-/// The same pair through the threaded scheduler: each barrier now costs a
-/// full rendezvous (park/unpark or spin) per shard, so the stretched
-/// schedule pays off even more than single-threaded.
-fn bench_threaded_barriers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("sync/threaded_4_shards");
-    group.sample_size(10);
-
-    for (label, lookahead) in [("fixed_q4", false), ("lookahead_q4", true)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let config = MultiConfig::new(ShardBackendKind::Tlm)
-                    .with_quantum(4)
-                    .with_lookahead(lookahead)
-                    .with_threaded(true);
-                let patterns = pattern_shards(SHARDS, MASTERS_PER_SHARD, ShardMix::LocalHeavy);
-                let mut platform =
-                    MultiSystem::from_shard_patterns(&config, &patterns, TRANSACTIONS, SEED);
-                let report = platform.run();
-                black_box((report.total_cycles, platform.sync_stats()))
-            });
-        });
-    }
-
-    group.finish();
-}
-
-criterion_group!(benches, bench_quiet_advance, bench_threaded_barriers);
+criterion_group!(benches, bench_quiet_advance);
 criterion_main!(benches);

@@ -5,8 +5,8 @@
 //! The rows are the entries of the `ahbplus` model registry, under their
 //! registry names, so a model added there appears here — and in the
 //! emitted `BENCH_speed.json` (schema `ahbplus-bench-speed/v2`,
-//! v1-compatible keys preserved, plus the host's core count and the
-//! threading mode) — without harness edits.
+//! v1-compatible keys preserved, plus the host's core count) — without
+//! harness edits.
 //!
 //! ```text
 //! cargo run --release -p ahbplus-bench --bin table2_speed \
@@ -27,8 +27,7 @@
 //! JSON (load it at <https://ui.perfetto.dev>).
 
 use ahbplus::speed::{
-    host_cores, measure_models_with_reps, measurement_threaded, standard_models,
-    SPEED_MEASUREMENT_REPS,
+    host_cores, measure_models_with_reps, standard_models, SPEED_MEASUREMENT_REPS,
 };
 use ahbplus::{lookup, scenario, ModelSpec, PlatformConfig, MODELS};
 use analysis::model::BusModel;
@@ -158,11 +157,7 @@ fn main() {
             "Simulation speed — {}, {} transactions per master",
             config.pattern.name, config.transactions_per_master
         );
-        let threaded = measurement_threaded();
-        println!(
-            "host: {} cores, threaded multi-bus models: {threaded}\n",
-            host_cores()
-        );
+        println!("host: {} cores\n", host_cores());
     }
     let record = match measure_models_with_reps(
         &config,

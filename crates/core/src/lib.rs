@@ -21,12 +21,11 @@
 //! The sharded platforms are the *sideways* scaling axis: the same
 //! workload split over N independent buses (each its own arbiter, write
 //! buffer and DDR) connected by AHB-to-AHB bridges, executed under
-//! conservative quantum synchronization — single-threaded reference mode
-//! or one worker thread per shard, verified probe-identical. Their
-//! aggregate throughput (bus-cycles simulated per second, summed over
-//! shards) beats the equivalent single-bus model as soon as the bus is
-//! the bottleneck: a 16-master bridge-light workload runs ~2.4× faster
-//! as `sharded-tlm` 4×4 than on one flat bus, even before threading.
+//! conservative quantum synchronization on one thread. Their aggregate
+//! throughput (bus-cycles simulated per second, summed over shards)
+//! beats the equivalent single-bus model as soon as the bus is the
+//! bottleneck: a 16-master bridge-light workload runs ~2.4× faster as
+//! `sharded-tlm` 4×4 than on one flat bus.
 //!
 //! # How synchronization works
 //!
@@ -35,9 +34,10 @@
 //! the minimum bridge crossing latency, so a shard simulating freely up
 //! to the next barrier can never miss a remote effect — every crossing
 //! issued inside a quantum is exchanged at the barrier and released at
-//! or after it. The schedule is identical in the single-threaded
-//! reference mode and the threaded mode (one worker per shard, blocking
-//! or spinning rendezvous), which is what makes them probe-identical.
+//! or after it. There is one scheduler: the shards run one after another
+//! on the calling thread, and each barrier costs one route-and-inject
+//! step. A quantum of shard work is shorter than a thread rendezvous, so
+//! the adaptive lookahead below is the lever on synchronization cost.
 //!
 //! With [`MultiConfig::with_lookahead`] the quantum becomes *adaptive*:
 //! at a quiet barrier (nothing delivered), every shard computes a
@@ -182,7 +182,7 @@
 //! predicted branch per seam, so instrumented backends keep their speed;
 //! switched on, the stream drains as a [`analysis::TraceLog`] whose merged
 //! order is a pure function of the simulated schedule — byte-identical
-//! across the single-threaded, threaded and spin-sync scheduler modes
+//! between a one-shot run and a run stepped in arbitrary increments
 //! (asserted by property tests in `ahb-multi`).
 //!
 //! ```

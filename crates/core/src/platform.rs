@@ -157,8 +157,8 @@ impl PlatformConfig {
     /// over the topology's shard count (or
     /// [`PlatformConfig::DEFAULT_SHARDS`] when the topology is uniform),
     /// and the platform inherits this configuration's bus parameters, DDR
-    /// device and cycle limit. It runs in the single-threaded reference
-    /// mode; registry entries pick their own policy through
+    /// device and cycle limit. It runs the fixed-quantum schedule;
+    /// registry entries that want adaptive lookahead configure it through
     /// [`PlatformConfig::build_multi`].
     #[must_use]
     pub fn build_topology(&self, topology: Topology) -> MultiSystem {
@@ -167,8 +167,8 @@ impl PlatformConfig {
 
     /// The multi-bus configuration derived from this platform for the
     /// given topology (this platform's bus parameters, DDR device and
-    /// cycle limit). Callers that need a non-default execution policy —
-    /// threading, an explicit quantum, adaptive lookahead — adjust the
+    /// cycle limit). Callers that need a non-default schedule — an
+    /// explicit quantum, adaptive lookahead — adjust the
     /// returned value with the [`MultiConfig`] builders and hand it to
     /// [`PlatformConfig::build_multi`].
     #[must_use]

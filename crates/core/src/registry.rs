@@ -15,7 +15,6 @@ use traffic::ShardMix::{BridgeHeavy, LocalHeavy, ReadHeavy};
 use traffic::{pattern_many, pattern_shards, ShardMix};
 
 use crate::platform::PlatformConfig;
-use crate::speed::measurement_threaded;
 use Fidelity::{Lt, Multi, Rtl, Tlm};
 use WorkloadOverride::{Many, Masters, Shards};
 
@@ -29,8 +28,7 @@ pub enum Fidelity {
     /// The loosely-timed model (`ahb-lt`).
     Lt,
     /// A multi-bus platform (`ahb-multi`) of the topology, under the
-    /// adaptive-lookahead scheduler when the flag is set, with worker
-    /// threads per [`measurement_threaded`].
+    /// adaptive-lookahead scheduler when the flag is set.
     Multi(fn() -> Topology, bool),
 }
 
@@ -146,10 +144,7 @@ impl ModelSpec {
             Lt => return Box::new(config.build_lt()),
             Multi(topology, lookahead) => (topology, lookahead),
         };
-        let multi = config
-            .multi_config(topology())
-            .with_threaded(measurement_threaded())
-            .with_lookahead(lookahead);
+        let multi = config.multi_config(topology()).with_lookahead(lookahead);
         match self.workload {
             Some(Shards(shards, masters, mix)) => Box::new(MultiSystem::from_shard_patterns(
                 &multi,

@@ -14,8 +14,6 @@
 //! happens once per run; the simulation loops inside `run_until` stay
 //! monomorphized.
 
-use std::sync::OnceLock;
-
 use analysis::model::{BusModel, SyncStats};
 use analysis::report::SimReport;
 use analysis::speed::{ModelMeasurement, SpeedBenchRecord};
@@ -23,17 +21,6 @@ use analysis::speed::{ModelMeasurement, SpeedBenchRecord};
 use crate::platform::PlatformConfig;
 pub use crate::registry::ModelSpec;
 use crate::registry::{unknown_model, MODELS};
-
-/// Whether the registered multi-bus models run their shards on worker
-/// threads: exactly when the host has more than one core. Threading only
-/// changes wall-clock time (results are verified probe-identical). The
-/// answer is computed once per process, so a model build never pays for
-/// the host query.
-#[must_use]
-pub fn measurement_threaded() -> bool {
-    static THREADED: OnceLock<bool> = OnceLock::new();
-    *THREADED.get_or_init(|| host_cores() > 1)
-}
 
 /// The host's available parallelism (1 when it cannot be queried).
 #[must_use]
@@ -169,7 +156,6 @@ pub fn measure_models_with_reps(
         transactions_per_master: config.transactions_per_master,
         seed: config.seed,
         host_cores: host_cores(),
-        threaded: measurement_threaded(),
         models,
     })
 }

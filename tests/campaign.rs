@@ -246,6 +246,32 @@ fn serve_mode_answers_over_loopback() {
     handle.join().unwrap().expect("serve loop exits cleanly");
 }
 
+/// A hostile `POST /run` body nested ~100 KB deep is a clean 400, not a
+/// stack overflow that takes the whole server down: the same server still
+/// answers the next request.
+#[test]
+fn serve_mode_rejects_deeply_nested_bodies_and_keeps_serving() {
+    let server = CampaignServer::bind("127.0.0.1:0").expect("ephemeral port binds");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve(1, Some(2)));
+
+    let body = "[".repeat(100_000);
+    let nested = http_roundtrip(
+        &addr,
+        &format!(
+            "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(nested.starts_with("HTTP/1.1 400"), "{nested}");
+    assert!(nested.contains("nesting deeper than"), "{nested}");
+
+    let health = http_roundtrip(&addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+
+    handle.join().unwrap().expect("serve loop exits cleanly");
+}
+
 /// The observability surface of serve mode: a traced `/run` streams its
 /// transaction-lifecycle events, and `GET /metrics` answers Prometheus
 /// text whose run counters are live — a scrape taken while a scenario
