@@ -29,6 +29,11 @@
 //! (`BENCH_accuracy.json`) measures the resulting error per scenario;
 //! [`LT_TIMING_ERROR_BOUND_PCT`] states the bound the property tests
 //! enforce over the standard catalogue.
+//!
+//! As one shard of a multi-bus platform, [`LtSystem`] holds the same
+//! bridge endpoint as the transaction-level shard,
+//! [`amba::bridge::ShardPort`], and adds only its own glue: a master
+//! stalled on a non-posted read is parked with `ready_at = u64::MAX`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats};
+use amba::bridge::{BridgePort, ParkedRead, ShardPort};
 use amba::check::validate_transaction;
 use amba::qos::QosConfig;
 use amba::txn::{Transaction, TransactionId};
@@ -32,7 +32,7 @@ use analysis::report::{ModelKind, SimReport};
 use analysis::trace::{TraceEventKind, TraceLog, Tracer, FLAG_REMOTE, FLAG_ROW_HIT, FLAG_WRITE};
 use ddrc::DdrGeometry;
 use simkern::time::Cycle;
-use traffic::{Release, TrafficPattern, TrafficTrace};
+use traffic::{TrafficPattern, TrafficTrace};
 
 use crate::config::LtConfig;
 
@@ -88,50 +88,12 @@ struct LtMaster {
 }
 
 impl LtMaster {
-    /// Inserts a transaction released at the absolute cycle `release_at`
-    /// (the bridge replay port receiving a crossing) into the pending
-    /// tail of the trace, keeping the not-yet-issued items sorted by
-    /// `(release, id)` — the same batching-invariant order the TLM
-    /// backend's `TraceMaster::insert_pending` maintains, so a fixed and
-    /// an adaptive-lookahead run replay crossings identically however
-    /// the delivery batches were shaped. A started or parked head always
-    /// carries a release no later than the current cycle while a
-    /// crossing arrives strictly after the barrier, so the insertion
-    /// never lands in front of committed work. When the new item becomes
-    /// the trace head its release also becomes `ready_at` (a parked head
-    /// keeps its `u64::MAX` sentinel: it sorts first, so nothing can be
-    /// inserted ahead of it); the caller fixes the platform's completion
-    /// bookkeeping.
-    fn insert_pending(&mut self, txn: Transaction, release_at: u64) {
-        let key = (release_at, txn.id.value());
-        let offset = self.items.items()[self.next..].partition_point(|item| match item.release {
-            Release::At(at) => (at.value(), item.txn.id.value()) < key,
-            Release::AfterPrevious(_) => true,
-        });
-        let position = self.next + offset;
-        self.items.insert(
-            position,
-            traffic::TraceItem {
-                release: Release::At(simkern::time::Cycle::new(release_at)),
-                txn,
-            },
-        );
-        if position == self.next {
-            self.ready_at = release_at;
-        }
-    }
-
     fn new(trace: TrafficTrace, posted: bool) -> Self {
-        let ready_at = match trace.items().first().map(|i| i.release) {
-            Some(Release::AfterPrevious(gap)) => gap.value(),
-            Some(Release::At(at)) => at.value(),
-            None => u64::MAX,
-        };
         LtMaster {
             posted,
+            ready_at: trace.first_release().value(),
             items: trace,
             next: 0,
-            ready_at,
         }
     }
 
@@ -143,11 +105,8 @@ impl LtMaster {
     /// `done` (the head's completion or absorption time).
     fn advance(&mut self, done: u64) {
         self.next += 1;
-        if self.next < self.items.len() {
-            self.ready_at = match self.items.items()[self.next].release {
-                Release::AfterPrevious(gap) => done + gap.value(),
-                Release::At(at) => at.value().max(done),
-            };
+        if let Some(item) = self.items.items().get(self.next) {
+            self.ready_at = item.release.after(Cycle::new(done)).value();
         }
     }
 }
@@ -160,69 +119,6 @@ struct BacklogEntry {
     master_index: usize,
     absorbed_at: u64,
     txn: Transaction,
-}
-
-/// One read transfer stalled on its bridge response (the loosely-timed
-/// mirror of the transaction-level stall table).
-#[derive(Debug, Clone, Copy)]
-struct LtParked {
-    /// Index of the stalled master in `masters`.
-    index: usize,
-    /// The stalled transaction (retirement needs bytes/beats).
-    txn: Transaction,
-    /// Cycle the request was raised (latency accounting).
-    requested_at: u64,
-    /// Cycle the request leg was granted the bus.
-    granted_at: u64,
-}
-
-/// Bridge-port state of a loosely-timed shard inside a multi-bus
-/// platform (mirrors the transaction-level shard's port).
-struct LtBridge {
-    port: BridgePort,
-    /// Index of the bridge replay master in `masters`.
-    ingress_index: usize,
-    /// Crossings issued since the last [`LtSystem::drain_egress`].
-    egress: Vec<BridgeCrossing>,
-    /// Work replayed on behalf of remote shards so far.
-    replayed: ReplayStats,
-    /// Local masters stalled on a non-posted read crossing, keyed by the
-    /// original transaction id the response leg carries back.
-    parked: Vec<(TransactionId, LtParked)>,
-    /// Replays that owe a response: replay id → (origin shard, original
-    /// transaction).
-    owed_responses: Vec<(TransactionId, u8, Transaction)>,
-    /// Per-master release transforms for the lookahead scan (mirrors the
-    /// transaction-level shard): indexed by master index, then trace
-    /// position; `Some((a, b))` means the earliest crossing from that
-    /// point on, given the head releases no earlier than `t`, is
-    /// `max(t + a, b)`; `None` means no remote item remains. The ingress
-    /// master gets an empty table (dynamic trace, covered by the
-    /// egress/owed-response checks).
-    remote_ahead: Vec<Vec<Option<(u64, u64)>>>,
-}
-
-/// Backward min-plus transform table over one static trace — identical
-/// recurrence to the transaction-level shard's: a release rule is the
-/// affine-max function `f(t) = max(t + a, b)` and the table composes the
-/// rules from each position up to the next remote-addressed item.
-fn crossing_transforms(items: &[traffic::TraceItem], port: &BridgePort) -> Vec<Option<(u64, u64)>> {
-    let step = |release: Release| match release {
-        Release::AfterPrevious(gap) => (gap.value(), 0),
-        Release::At(at) => (0, at.value()),
-    };
-    let mut ahead: Vec<Option<(u64, u64)>> = vec![None; items.len() + 1];
-    for p in (0..items.len()).rev() {
-        ahead[p] = if port.map.is_remote(items[p].txn.addr, port.own) {
-            Some((0, 0))
-        } else {
-            ahead[p + 1].map(|(a2, b2)| {
-                let (a1, b1) = step(items[p + 1].release);
-                (a1.saturating_add(a2), b1.saturating_add(a2).max(b2))
-            })
-        };
-    }
-    ahead
 }
 
 /// The loosely-timed AHB+ platform.
@@ -260,9 +156,9 @@ pub struct LtSystem {
     dram_accesses: u64,
     assertion_errors: u64,
     wall_seconds: f64,
-    /// Bridge-port state when this system is one shard of a multi-bus
+    /// The bridge endpoint when this system is one shard of a multi-bus
     /// platform; `None` on a standalone platform.
-    bridge: Option<LtBridge>,
+    bridge: Option<ShardPort>,
     /// Structured event tracer (disabled by default; every record call
     /// starts with one branch on the enabled flag).
     tracer: Tracer,
@@ -288,7 +184,7 @@ impl LtSystem {
     /// Builds a platform that is one *shard* of a multi-bus system, with
     /// the AHB-to-AHB bridge port attached: remote-window transactions
     /// complete against the bridge slave (no local DRAM access) and are
-    /// logged as [`BridgeCrossing`]s; an extra bridge master replays the
+    /// logged as [`amba::bridge::BridgeCrossing`]s; an extra bridge master replays the
     /// crossings delivered by [`LtSystem::inject_crossing`].
     ///
     /// # Panics
@@ -300,11 +196,6 @@ impl LtSystem {
         masters: Vec<(TrafficTrace, String, QosConfig, bool)>,
         port: BridgePort,
     ) -> Self {
-        assert!(
-            masters.iter().all(|(t, ..)| t.master() != port.master),
-            "bridge master id {} collides with another master",
-            port.master
-        );
         LtSystem::assemble(config, masters, Some(port))
     }
 
@@ -313,15 +204,7 @@ impl LtSystem {
         mut masters: Vec<(TrafficTrace, String, QosConfig, bool)>,
         port: Option<BridgePort>,
     ) -> Self {
-        let ingress_index = port.as_ref().map(|p| {
-            masters.push((
-                TrafficTrace::empty(p.master),
-                "bridge".to_owned(),
-                QosConfig::non_real_time(u8::MAX - 1),
-                false,
-            ));
-            masters.len() - 1
-        });
+        let bridge = port.map(|port| traffic::attach_bridge(&mut masters, port));
         let mut recorder = Recorder::new(ModelKind::LooselyTimed);
         let lt_masters: Vec<LtMaster> = masters
             .into_iter()
@@ -330,19 +213,6 @@ impl LtSystem {
                 LtMaster::new(trace, posted)
             })
             .collect();
-        let remote_ahead = port.as_ref().map_or_else(Vec::new, |p| {
-            lt_masters
-                .iter()
-                .enumerate()
-                .map(|(index, m)| {
-                    if Some(index) == ingress_index {
-                        Vec::new()
-                    } else {
-                        crossing_transforms(m.items.items(), p)
-                    }
-                })
-                .collect()
-        });
         let traces_valid = lt_masters.iter().all(|m| {
             m.items
                 .items()
@@ -376,17 +246,7 @@ impl LtSystem {
             dram_accesses: 0,
             assertion_errors: 0,
             wall_seconds: 0.0,
-            bridge: port
-                .zip(ingress_index)
-                .map(|(port, ingress_index)| LtBridge {
-                    port,
-                    ingress_index,
-                    egress: Vec::new(),
-                    replayed: ReplayStats::default(),
-                    parked: Vec::new(),
-                    owed_responses: Vec::new(),
-                    remote_ahead,
-                }),
+            bridge,
             tracer: Tracer::disabled(),
         }
     }
@@ -435,73 +295,42 @@ impl LtSystem {
         self.tracer.take().with_probe_counters(&probe)
     }
 
-    /// Takes the crossings issued through the bridge slave since the last
-    /// drain (in local completion order).
-    pub fn drain_egress(&mut self) -> Vec<BridgeCrossing> {
-        self.bridge
-            .as_mut()
-            .map_or_else(Vec::new, |b| std::mem::take(&mut b.egress))
-    }
-
-    /// [`LtSystem::drain_egress`] without the allocation churn: clears
-    /// `out` and swaps it with the egress log, so a scheduler draining
-    /// every quantum recycles the same two buffers instead of allocating
-    /// per crossing batch.
-    pub fn drain_egress_into(&mut self, out: &mut Vec<BridgeCrossing>) {
-        out.clear();
-        if let Some(bridge) = self.bridge.as_mut() {
-            std::mem::swap(&mut bridge.egress, out);
-        }
-    }
-
-    /// Work the bridge master replayed on behalf of remote shards so far.
+    /// The bridge endpoint, when this system is one shard of a multi-bus
+    /// platform.
     #[must_use]
-    pub fn replayed(&self) -> ReplayStats {
-        self.bridge
-            .as_ref()
-            .map_or_else(ReplayStats::default, |b| b.replayed)
+    pub fn bridge_port(&self) -> Option<&ShardPort> {
+        self.bridge.as_ref()
     }
 
-    /// Conservative lower bound on the earliest cycle this shard could
-    /// issue another bridge crossing, or `None` when no future crossing
-    /// is possible from the current state (mirrors
-    /// `ahb_tlm::TlmSystem::next_possible_crossing`). A bound at or
-    /// before `now()` means traffic is imminent: undrained egress,
-    /// replays owing a response leg, or a remote-addressed posted write
-    /// waiting in the batch backlog.
+    /// Mutable access to the bridge endpoint (the platform drains its
+    /// egress log every quantum).
+    pub fn bridge_port_mut(&mut self) -> Option<&mut ShardPort> {
+        self.bridge.as_mut()
+    }
+
+    /// The shard's lookahead bound: [`ShardPort::next_possible_crossing`]
+    /// over the batch backlog and the master heads. A parked master
+    /// carries `ready_at == u64::MAX`, which keeps it out of the minimum;
+    /// its in-flight response leg vetoes through the shards carrying it.
     #[must_use]
     pub fn next_possible_crossing(&self) -> Option<Cycle> {
         let bridge = self.bridge.as_ref()?;
-        if !bridge.egress.is_empty() || !bridge.owed_responses.is_empty() {
-            return Some(Cycle::new(self.now));
-        }
-        if self
-            .backlog
-            .iter()
-            .any(|entry| bridge.port.map.is_remote(entry.txn.addr, bridge.port.own))
-        {
-            return Some(Cycle::new(self.now));
-        }
-        let mut bound = u64::MAX;
-        for (index, master) in self.masters.iter().enumerate() {
-            if index == bridge.ingress_index || master.is_done() {
-                continue;
-            }
-            if let Some((a, b)) = bridge.remote_ahead[index][master.next] {
-                // A parked master carries `ready_at == u64::MAX`; the
-                // saturating add keeps it out of the minimum (its in-flight
-                // response leg vetoes through the shards that carry it).
-                bound = bound.min(master.ready_at.saturating_add(a).max(b));
-            }
-        }
-        (bound != u64::MAX).then(|| Cycle::new(bound))
+        bridge.next_possible_crossing(
+            Cycle::new(self.now),
+            self.backlog.iter().map(|entry| entry.txn.addr),
+            self.masters
+                .iter()
+                .enumerate()
+                .filter(|(_, master)| !master.is_done())
+                .map(|(index, master)| (index, Cycle::new(master.ready_at), master.next)),
+        )
     }
 
     /// Delivers one bridge crossing: the transaction is queued on the
     /// bridge replay master with an absolute release at `release_at` (its
     /// arrival out of the bridge FIFO). When `respond_to` names an origin
-    /// shard, a [`CrossingLeg::ReadResponse`] carrying the original
-    /// transaction is emitted once the replay completes.
+    /// shard, a `ReadResponse` crossing carrying the original transaction
+    /// is emitted once the replay completes.
     ///
     /// # Panics
     ///
@@ -509,35 +338,30 @@ impl LtSystem {
     pub fn inject_crossing(
         &mut self,
         source: Transaction,
-        release_at: u64,
+        release_at: Cycle,
         respond_to: Option<u8>,
     ) {
         let bridge = self
             .bridge
             .as_mut()
             .expect("inject_crossing without a bridge port");
-        let index = bridge.ingress_index;
-        let txn = bridge.port.replay_txn(source);
-        if let Some(origin) = respond_to {
-            bridge.owed_responses.push((txn.id, origin, source));
-        }
+        let index = bridge.ingress();
+        let txn = bridge.replay(source, respond_to);
         let master = &mut self.masters[index];
         let was_done = master.is_done();
-        master.insert_pending(txn, release_at);
+        // A parked head keeps its `u64::MAX` sentinel: its release precedes
+        // any arrival, so nothing lands ahead of it.
+        if master.items.insert_pending(master.next, txn, release_at) == master.next {
+            master.ready_at = release_at.value();
+        }
         if was_done {
             self.masters_done -= 1;
         }
         // Trace the crossing's arrival out of the bridge FIFO (delivery
         // order is the scheduler's deterministic sort, so the event
         // stream is identical across scheduler modes).
-        self.tracer.bridge(
-            TraceEventKind::BridgeReplay,
-            source.master.index() as u16,
-            source.id.value(),
-            release_at,
-            release_at,
-            if source.is_write() { FLAG_WRITE } else { 0 },
-        );
+        self.tracer
+            .crossing(TraceEventKind::BridgeReplay, &source, release_at);
     }
 
     /// Delivers the response leg of a non-posted read: the master stalled
@@ -548,50 +372,27 @@ impl LtSystem {
     ///
     /// Panics when the system was built without a bridge port or no
     /// master is stalled on `id` (a platform routing bug).
-    pub fn inject_response(&mut self, id: TransactionId, arrival: u64) {
-        let bridge = self
+    pub fn inject_response(&mut self, id: TransactionId, arrival: Cycle) {
+        let parked = self
             .bridge
             .as_mut()
-            .expect("inject_response without a bridge port");
-        let position = bridge
-            .parked
-            .iter()
-            .position(|(parked_id, _)| *parked_id == id)
-            .expect("response for a transaction nobody is stalled on");
-        let (_, parked) = bridge.parked.swap_remove(position);
-        let (bytes, beats) = (parked.txn.bytes(), parked.txn.beats());
-        self.tracer.bridge(
-            TraceEventKind::BridgeResponse,
-            parked.txn.master.index() as u16,
-            id.value(),
-            parked.requested_at,
-            arrival,
-            0,
-        );
-        // The read's lifecycle span closes here, with the full
-        // round-trip latency.
-        self.tracer.span(
-            parked.txn.master.index() as u16,
-            id.value(),
-            parked.requested_at,
-            parked.granted_at,
-            arrival,
-            bytes,
-            FLAG_REMOTE,
-        );
+            .expect("inject_response without a bridge port")
+            .unpark(id);
+        self.tracer.response(&parked, arrival);
         // The transfer completes now: count the work (the request leg only
         // contributed bus occupancy; the data return travels inside the
         // crossing cost, not over the local bus).
+        let arrival = arrival.value();
         self.recorder.record_completion(
-            parked.index,
-            bytes,
-            beats,
-            parked.requested_at,
-            parked.granted_at,
+            parked.position,
+            parked.txn.bytes(),
+            parked.txn.beats(),
+            parked.requested_at.value(),
+            parked.granted_at.value(),
             arrival,
         );
         self.last_completion = self.last_completion.max(arrival);
-        let master = &mut self.masters[parked.index];
+        let master = &mut self.masters[parked.position];
         master.advance(arrival);
         if master.is_done() {
             self.masters_done += 1;
@@ -605,13 +406,9 @@ impl LtSystem {
     /// burst left through the bridge, and whether the DRAM sketch served
     /// it from an open or hint-prepared row (always `false` for remote).
     fn transfer_cost(&mut self, txn: &Transaction) -> (u64, bool, bool) {
-        if let Some(bridge) = self.bridge.as_ref() {
-            if bridge.port.map.is_remote(txn.addr, bridge.port.own) {
-                return (
-                    bridge.port.slave_cycles + u64::from(txn.beats()),
-                    true,
-                    false,
-                );
+        if let Some(port) = self.bridge.as_ref().map(ShardPort::port) {
+            if port.is_remote(txn.addr) {
+                return (port.slave_cycles + u64::from(txn.beats()), true, false);
             }
         }
         let (cost, row_hit) = self.burst_cost(txn.addr, txn.is_write(), txn.beats());
@@ -711,9 +508,7 @@ impl LtSystem {
             completed,
         );
         self.last_completion = self.last_completion.max(completed);
-        if remote {
-            self.push_egress(completed, entry.txn, CrossingLeg::Posted);
-        }
+        self.bridge_complete(&entry.txn, remote, completed);
         self.tracer.drain(
             entry.txn.master.index() as u16,
             entry.txn.id.value(),
@@ -723,22 +518,19 @@ impl LtSystem {
         completed
     }
 
-    /// Logs one crossing leaving through the bridge at `completed`.
-    fn push_egress(&mut self, completed: u64, txn: Transaction, leg: CrossingLeg) {
-        let bridge = self.bridge.as_mut().expect("egress implies a bridge");
-        bridge.egress.push(BridgeCrossing {
-            issued_at: simkern::time::Cycle::new(completed),
-            txn,
-            leg,
-        });
-        self.tracer.bridge(
-            TraceEventKind::BridgeEgress,
-            txn.master.index() as u16,
-            txn.id.value(),
-            completed,
-            completed,
-            if txn.is_write() { FLAG_WRITE } else { 0 },
-        );
+    /// Accounts a transfer that completed at `completed` with the bridge
+    /// endpoint (see [`ShardPort::complete`]) and traces the crossing it
+    /// issued, if any.
+    fn bridge_complete(&mut self, txn: &Transaction, remote: bool, completed: u64) {
+        let completed = Cycle::new(completed);
+        if let Some(crossing) = self
+            .bridge
+            .as_mut()
+            .and_then(|b| b.complete(txn, remote, completed))
+        {
+            self.tracer
+                .crossing(TraceEventKind::BridgeEgress, &crossing.txn, completed);
+        }
     }
 
     /// Drains backlog entries whose bus slot *starts* by `horizon`
@@ -855,32 +647,23 @@ impl LtSystem {
         // A non-posted read crossing stalls: only the request handshake
         // occupies the local bus; the transfer is counted when
         // `inject_response` retires it.
-        let stalling_read = self.bridge.as_ref().is_some_and(|b| {
-            !b.port.posted_reads && !txn.is_write() && b.port.map.is_remote(txn.addr, b.port.own)
-        });
-        if stalling_read {
-            let (cost, own) = {
-                let bridge = self.bridge.as_ref().expect("stall implies a bridge");
-                (bridge.port.slave_cycles + 1, bridge.port.own)
-            };
+        let stall_cost = self
+            .bridge
+            .as_ref()
+            .filter(|b| b.stalls(&txn) && b.port().is_remote(txn.addr))
+            .map(|b| b.port().slave_cycles + 1);
+        if let Some(cost) = stall_cost {
             let completed_req = grant + cost;
             self.bus_free_at = completed_req;
             self.recorder.add_busy_cycles(cost, contended);
-            self.push_egress(
-                completed_req,
-                txn,
-                CrossingLeg::NonPostedRead { origin: own },
-            );
+            self.bridge_complete(&txn, true, completed_req);
             let bridge = self.bridge.as_mut().expect("stall implies a bridge");
-            bridge.parked.push((
-                txn.id,
-                LtParked {
-                    index,
-                    txn,
-                    requested_at: ready,
-                    granted_at: grant,
-                },
-            ));
+            bridge.park(ParkedRead {
+                position: index,
+                txn,
+                requested_at: Cycle::new(ready),
+                granted_at: Cycle::new(grant),
+            });
             // Parked: invisible to the release scan until the response.
             self.masters[index].ready_at = u64::MAX;
             self.now = self.now.max(completed_req);
@@ -894,33 +677,7 @@ impl LtSystem {
         self.recorder
             .record_completion(index, bytes, beats, ready, grant, completed);
         self.last_completion = self.last_completion.max(completed);
-        if remote {
-            self.push_egress(completed, txn, CrossingLeg::Posted);
-        } else if let Some(bridge) = self.bridge.as_mut() {
-            if bridge.ingress_index == index {
-                bridge.replayed.record(&txn);
-                if let Some(owed) = bridge
-                    .owed_responses
-                    .iter()
-                    .position(|(id, ..)| *id == txn.id)
-                {
-                    let (_, origin, original) = bridge.owed_responses.swap_remove(owed);
-                    bridge.egress.push(BridgeCrossing {
-                        issued_at: simkern::time::Cycle::new(completed),
-                        txn: original,
-                        leg: CrossingLeg::ReadResponse { origin },
-                    });
-                    self.tracer.bridge(
-                        TraceEventKind::BridgeEgress,
-                        original.master.index() as u16,
-                        original.id.value(),
-                        completed,
-                        completed,
-                        0,
-                    );
-                }
-            }
-        }
+        self.bridge_complete(&txn, remote, completed);
         let flags = if txn.is_write() { FLAG_WRITE } else { 0 }
             | if remote { FLAG_REMOTE } else { 0 }
             | if row_hit { FLAG_ROW_HIT } else { 0 };

@@ -13,6 +13,10 @@
 //!    masters;
 //! 3. repeat until every shard drains and no crossing is in flight.
 //!
+//! Each shard's end of the bridge is its [`ShardPort`]: the scheduler
+//! drains the port's egress log, reads its replay totals for the
+//! aggregate, and asks the backend for the port's lookahead bound.
+//!
 //! The quantum equals the bridge's minimum crossing latency, so a
 //! crossing issued inside quantum `k` can never be released before the
 //! barrier ending quantum `k` — no shard can observe a remote effect it
@@ -37,7 +41,7 @@ use std::time::Instant;
 
 use ahb_lt::{LtConfig, LtSystem};
 use ahb_tlm::{TlmConfig, TlmSystem};
-use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats, WindowMap};
+use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats, ShardPort, WindowMap};
 use amba::ids::MasterId;
 use amba::txn::{Transaction, TransactionId};
 use analysis::model::{BusModel, Probe, SyncStats};
@@ -97,33 +101,34 @@ impl ShardEngine {
         }
     }
 
-    /// Drains the egress log into `out` (cleared first), recycling the
-    /// buffer's capacity across quanta instead of allocating per batch.
-    fn drain_egress_into(&mut self, out: &mut Vec<BridgeCrossing>) {
+    /// The shard's bridge endpoint (every shard is built with one).
+    fn port(&self) -> &ShardPort {
         match self {
-            ShardEngine::Tlm(s) => s.drain_egress_into(out),
-            ShardEngine::Lt(s) => s.drain_egress_into(out),
+            ShardEngine::Tlm(s) => s.bridge_port(),
+            ShardEngine::Lt(s) => s.bridge_port(),
         }
+        .expect("every shard carries a bridge port")
     }
 
-    fn inject_crossing(&mut self, txn: Transaction, release_at: u64, respond_to: Option<u8>) {
+    fn port_mut(&mut self) -> &mut ShardPort {
         match self {
-            ShardEngine::Tlm(s) => s.inject_crossing(txn, Cycle::new(release_at), respond_to),
+            ShardEngine::Tlm(s) => s.bridge_port_mut(),
+            ShardEngine::Lt(s) => s.bridge_port_mut(),
+        }
+        .expect("every shard carries a bridge port")
+    }
+
+    fn inject_crossing(&mut self, txn: Transaction, release_at: Cycle, respond_to: Option<u8>) {
+        match self {
+            ShardEngine::Tlm(s) => s.inject_crossing(txn, release_at, respond_to),
             ShardEngine::Lt(s) => s.inject_crossing(txn, release_at, respond_to),
         }
     }
 
-    fn inject_response(&mut self, id: TransactionId, arrival: u64) {
+    fn inject_response(&mut self, id: TransactionId, arrival: Cycle) {
         match self {
-            ShardEngine::Tlm(s) => s.inject_response(id, Cycle::new(arrival)),
+            ShardEngine::Tlm(s) => s.inject_response(id, arrival),
             ShardEngine::Lt(s) => s.inject_response(id, arrival),
-        }
-    }
-
-    fn replayed(&self) -> ReplayStats {
-        match self {
-            ShardEngine::Tlm(s) => s.replayed(),
-            ShardEngine::Lt(s) => s.replayed(),
         }
     }
 
@@ -286,7 +291,6 @@ pub struct MultiSystem {
     /// Upper bound on one stretch past the fixed barrier position.
     max_stretch: u64,
     shards: Vec<ShardEngine>,
-    bridge_ids: Vec<MasterId>,
     fabric: Fabric,
     /// The synchronized barrier clock (the platform's `now`).
     barrier: u64,
@@ -349,7 +353,6 @@ impl MultiSystem {
         let backends = config.topology.backends(shards);
         let map = config.topology.window_map(shards);
         let quantum = config.effective_quantum(shards);
-        let bridge_ids: Vec<MasterId> = (0..shards).map(bridge_master).collect();
         let engines = patterns
             .iter()
             .enumerate()
@@ -364,7 +367,7 @@ impl MultiSystem {
                     map: map.clone(),
                     own: shard as u8,
                     slave_cycles: config.topology.default_link.slave_cycles,
-                    master: bridge_ids[shard],
+                    master: bridge_master(shard),
                     posted_reads: config.topology.posted_reads,
                 };
                 let masters = pattern.expand(transactions_per_master, seed);
@@ -415,7 +418,6 @@ impl MultiSystem {
             lookahead: config.lookahead,
             max_stretch: config.effective_max_stretch(quantum),
             shards: engines,
-            bridge_ids,
             fabric: Fabric {
                 map,
                 links,
@@ -575,7 +577,7 @@ impl MultiSystem {
             let mut finished = true;
             for (index, shard) in self.shards.iter_mut().enumerate() {
                 shard.run_until(next);
-                shard.drain_egress_into(&mut self.fabric.egress);
+                shard.port_mut().drain_into(&mut self.fabric.egress);
                 finished &= shard.finished();
                 if self.lookahead {
                     bound = bound.min(shard.next_possible_crossing());
@@ -596,6 +598,7 @@ impl MultiSystem {
             }
             for (shard, inbox) in self.shards.iter_mut().zip(&mut self.fabric.inbox) {
                 for (at, delivery) in inbox.drain(..) {
+                    let at = Cycle::new(at);
                     match delivery {
                         Delivery::Replay { txn, respond_to } => {
                             shard.inject_crossing(txn, at, respond_to);
@@ -641,7 +644,7 @@ impl MultiSystem {
             aggregate.dram_accesses += probe.dram_accesses;
             aggregate.assertion_errors += probe.assertion_errors;
             aggregate.assertion_warnings += probe.assertion_warnings;
-            let replayed = shard.replayed();
+            let replayed = shard.port().replayed();
             replays.transactions += replayed.transactions;
             replays.bytes += replayed.bytes;
             replays.data_beats += replayed.data_beats;
@@ -679,8 +682,8 @@ impl MultiSystem {
     pub fn report(&self) -> SimReport {
         let (probe, bus_cycles) = self.aggregate();
         let mut recorder = Recorder::new(self.kind);
-        for (shard, bridge) in self.shards.iter().zip(&self.bridge_ids) {
-            recorder.merge(shard.recorder(), *bridge);
+        for shard in &self.shards {
+            recorder.merge(shard.recorder(), shard.port().port().master);
         }
         recorder.report(&probe, bus_cycles, self.wall_seconds)
     }

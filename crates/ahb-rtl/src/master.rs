@@ -12,7 +12,7 @@ use amba::ids::MasterId;
 use amba::qos::QosConfig;
 use amba::txn::Transaction;
 use simkern::time::Cycle;
-use traffic::{Release, TrafficTrace};
+use traffic::TrafficTrace;
 
 /// Request/transfer state of one master BFM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,11 +46,7 @@ impl RtlMaster {
     /// Creates a master BFM from its trace and QoS programming.
     #[must_use]
     pub fn new(trace: TrafficTrace, label: &str, qos: QosConfig, posted_writes: bool) -> Self {
-        let ready_at = match trace.items().first().map(|i| i.release) {
-            Some(Release::AfterPrevious(gap)) => Cycle::ZERO + gap,
-            Some(Release::At(at)) => at,
-            None => Cycle::MAX,
-        };
+        let ready_at = trace.first_release();
         RtlMaster {
             id: trace.master(),
             label: label.to_owned(),
@@ -184,11 +180,8 @@ impl RtlMaster {
         self.completed += 1;
         self.next += 1;
         self.state = MasterState::Waiting;
-        if self.next < self.trace.len() {
-            self.ready_at = match self.trace.items()[self.next].release {
-                Release::AfterPrevious(gap) => done + gap,
-                Release::At(at) => at.max(done),
-            };
+        if let Some(item) = self.trace.items().get(self.next) {
+            self.ready_at = item.release.after(done);
         }
     }
 }

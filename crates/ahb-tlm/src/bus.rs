@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats};
+use amba::bridge::{BridgePort, ParkedRead, ShardPort};
 use amba::check::validate_transaction;
 use amba::ids::MasterId;
 use amba::qos::QosConfig;
@@ -33,7 +33,7 @@ use analysis::trace::{TraceEventKind, TraceLog, Tracer, FLAG_REMOTE, FLAG_ROW_HI
 use ddrc::{AccessClass, DdrController};
 use simkern::assertion::{AssertionKind, AssertionSink, Severity};
 use simkern::time::{Cycle, CycleDelta};
-use traffic::{Release, TraceItem, TrafficPattern, TrafficTrace};
+use traffic::{TrafficPattern, TrafficTrace};
 
 use crate::arbiter::{PendingRequest, TlmArbiter};
 use crate::config::TlmConfig;
@@ -50,75 +50,6 @@ const GRANT_TO_ADDRESS_CYCLES: u64 = 1;
 /// pipelining is disabled: the bus returns to idle for one cycle before the
 /// arbiter re-evaluates and the new owner drives its address.
 const NON_PIPELINED_TURNAROUND: u64 = 1;
-
-/// One read transfer stalled on its bridge response: the issuing master
-/// is parked (out of the ready set, trace not advanced) until the
-/// [`CrossingLeg::ReadResponse`] carrying the same transaction id arrives
-/// and retires it.
-struct ParkedRead {
-    /// Position of the stalled master in `masters`.
-    position: usize,
-    /// The stalled transaction (completion metrics need bytes/beats).
-    txn: Transaction,
-    /// Cycle the request was raised (latency accounting).
-    requested_at: Cycle,
-    /// Cycle the request leg's address phase ran (grant accounting).
-    granted_at: Cycle,
-}
-
-/// Bridge-port state of a shard inside a multi-bus platform: the window
-/// decode and slave timing ([`BridgePort`]), the outgoing-crossing log the
-/// platform drains every quantum, and the replay bookkeeping of the
-/// ingress (bridge master) port.
-struct TlmBridge {
-    port: BridgePort,
-    /// Position of the bridge replay master in `masters`.
-    ingress_position: usize,
-    /// Crossings issued since the last [`TlmSystem::drain_egress`].
-    egress: Vec<BridgeCrossing>,
-    /// Work replayed on behalf of remote shards so far.
-    replayed: ReplayStats,
-    /// Local masters stalled on a non-posted read crossing, keyed by the
-    /// original transaction id the response leg carries back.
-    parked: Vec<(TransactionId, ParkedRead)>,
-    /// Replays that owe a response: replay id → (origin shard, original
-    /// transaction). Filled at injection, resolved when the replay
-    /// completes on this shard's bus.
-    owed_responses: Vec<(TransactionId, u8, Transaction)>,
-    /// Per-master release transforms for the lookahead scan, indexed by
-    /// master position, then trace position: `Some((a, b))` means the
-    /// earliest cycle a crossing can issue from that point on — given the
-    /// head item releases no earlier than `t` — is `max(t + a, b)`;
-    /// `None` means no remote item remains on the trace. The ingress
-    /// (replay) master's trace is dynamic and gets an empty table; its
-    /// traffic is covered by the egress/owed-response checks instead.
-    remote_ahead: Vec<Vec<Option<(u64, u64)>>>,
-}
-
-/// Builds the backward min-plus transform table over one static trace: a
-/// release rule is the affine-max function `f(t) = max(t + a, b)`
-/// (`AfterPrevious(gap)` → `(gap, 0)`, `At(at)` → `(0, at)`), and
-/// composing the rules from a trace position up to its next
-/// remote-addressed item yields the per-position transform the runtime
-/// scan evaluates in O(1). Entry `len` is the past-the-end sentinel.
-fn crossing_transforms(items: &[TraceItem], port: &BridgePort) -> Vec<Option<(u64, u64)>> {
-    let step = |release: Release| match release {
-        Release::AfterPrevious(gap) => (gap.value(), 0),
-        Release::At(at) => (0, at.value()),
-    };
-    let mut ahead: Vec<Option<(u64, u64)>> = vec![None; items.len() + 1];
-    for p in (0..items.len()).rev() {
-        ahead[p] = if port.map.is_remote(items[p].txn.addr, port.own) {
-            Some((0, 0))
-        } else {
-            ahead[p + 1].map(|(a2, b2)| {
-                let (a1, b1) = step(items[p + 1].release);
-                (a1.saturating_add(a2), b1.saturating_add(a2).max(b2))
-            })
-        };
-    }
-    ahead
-}
 
 /// The transaction-level AHB+ platform.
 pub struct TlmSystem {
@@ -179,10 +110,10 @@ pub struct TlmSystem {
     /// across bounded steps so a step-driven run reports the same speed
     /// accounting as a one-shot run).
     wall_seconds: f64,
-    /// Bridge-port state when this system is one shard of a multi-bus
+    /// The bridge endpoint when this system is one shard of a multi-bus
     /// platform; `None` on a standalone single-bus platform (no behaviour
     /// change whatsoever).
-    bridge: Option<TlmBridge>,
+    bridge: Option<ShardPort>,
     /// Structured event tracer (disabled by default; every record call
     /// starts with one branch on the enabled flag).
     tracer: Tracer,
@@ -211,7 +142,7 @@ impl TlmSystem {
     /// of the trace masters it carries the AHB-to-AHB bridge port —
     /// transactions to remote shard windows complete against the bridge
     /// slave (posted into the request FIFO, no local DRAM access) and are
-    /// logged as [`BridgeCrossing`]s, and an extra bridge *master* replays
+    /// logged as [`amba::bridge::BridgeCrossing`]s, and an extra bridge *master* replays
     /// the crossings delivered by [`TlmSystem::inject_crossing`].
     ///
     /// # Panics
@@ -225,8 +156,7 @@ impl TlmSystem {
         port: BridgePort,
     ) -> Self {
         assert!(
-            port.master != WRITE_BUFFER_MASTER
-                && masters.iter().all(|(t, ..)| t.master() != port.master),
+            port.master != WRITE_BUFFER_MASTER,
             "bridge master id {} collides with another master",
             port.master
         );
@@ -238,34 +168,14 @@ impl TlmSystem {
         mut masters: Vec<(TrafficTrace, String, QosConfig, bool)>,
         port: Option<BridgePort>,
     ) -> Self {
-        // The bridge replay master is the last port: an empty trace that
-        // `inject_crossing` extends at runtime. Replays are never posted
-        // (the write buffer belongs to the shard's own masters) and
-        // arbitrate as a plain non-real-time requester.
-        let ingress_position = port.as_ref().map(|p| {
-            masters.push((
-                TrafficTrace::empty(p.master),
-                "bridge".to_owned(),
-                QosConfig::non_real_time(u8::MAX - 1),
-                false,
-            ));
-            masters.len() - 1
-        });
+        let bridge = port.map(|port| traffic::attach_bridge(&mut masters, port));
         let mut recorder = Recorder::new(ModelKind::TransactionLevel);
         let mut arbiter = TlmArbiter::new(
             config.params.arbiter.clone(),
             config.params.bi_next_transaction_hints,
         );
         let mut trace_masters = Vec::with_capacity(masters.len());
-        let mut remote_ahead = Vec::with_capacity(masters.len());
-        for (position, (trace, label, qos, posted)) in masters.into_iter().enumerate() {
-            if let Some(p) = port.as_ref() {
-                remote_ahead.push(if Some(position) == ingress_position {
-                    Vec::new()
-                } else {
-                    crossing_transforms(trace.items(), p)
-                });
-            }
+        for (trace, label, qos, posted) in masters {
             let master = TraceMaster::new(trace, &label, qos, posted);
             // The recorder slot of a master is its position.
             recorder.register_master(master.id(), &label, qos);
@@ -324,17 +234,7 @@ impl TlmSystem {
             posted_mask,
             index_by_id,
             wall_seconds: 0.0,
-            bridge: port
-                .zip(ingress_position)
-                .map(|(port, ingress_position)| TlmBridge {
-                    port,
-                    ingress_position,
-                    egress: Vec::new(),
-                    replayed: ReplayStats::default(),
-                    parked: Vec::new(),
-                    owed_responses: Vec::new(),
-                    remote_ahead,
-                }),
+            bridge,
             tracer: Tracer::disabled(),
         }
     }
@@ -401,75 +301,47 @@ impl TlmSystem {
         self.tracer.take().with_probe_counters(&probe)
     }
 
-    /// Takes the crossings issued through the bridge slave since the last
-    /// drain (in local completion order). Empty — and allocation-free — on
-    /// a standalone platform or a quantum without remote traffic.
-    pub fn drain_egress(&mut self) -> Vec<BridgeCrossing> {
-        self.bridge
-            .as_mut()
-            .map_or_else(Vec::new, |b| std::mem::take(&mut b.egress))
-    }
-
-    /// [`TlmSystem::drain_egress`] without the allocation churn: clears
-    /// `out` and swaps it with the egress log, so a scheduler draining
-    /// every quantum recycles the same two buffers instead of allocating
-    /// per crossing batch.
-    pub fn drain_egress_into(&mut self, out: &mut Vec<BridgeCrossing>) {
-        out.clear();
-        if let Some(bridge) = self.bridge.as_mut() {
-            std::mem::swap(&mut bridge.egress, out);
-        }
-    }
-
-    /// Work the bridge master replayed on behalf of remote shards so far.
+    /// The bridge endpoint, when this system is one shard of a multi-bus
+    /// platform.
     #[must_use]
-    pub fn replayed(&self) -> ReplayStats {
-        self.bridge
-            .as_ref()
-            .map_or_else(ReplayStats::default, |b| b.replayed)
+    pub fn bridge_port(&self) -> Option<&ShardPort> {
+        self.bridge.as_ref()
     }
 
-    /// Conservative lower bound on the earliest cycle this shard could
-    /// issue another bridge crossing, or `None` when no future crossing is
-    /// possible from the current state. A bound at or before `now()` means
-    /// traffic is imminent: undrained egress, replays owing a response
-    /// leg, a remote-addressed posted write parked in the write buffer, or
-    /// a parked non-posted read (its stale release time self-vetoes). The
-    /// quantum scheduler may advance all shards to the minimum bound
-    /// without exchanging, because a crossing issued at cycle `t` is never
-    /// visible to another shard before `t` plus the link latency.
+    /// Mutable access to the bridge endpoint (the platform drains its
+    /// egress log every quantum).
+    pub fn bridge_port_mut(&mut self) -> Option<&mut ShardPort> {
+        self.bridge.as_mut()
+    }
+
+    /// The shard's lookahead bound: [`ShardPort::next_possible_crossing`]
+    /// over the write buffer and the master heads. A parked non-posted
+    /// read keeps its stale release, at or before `now()`, so it vetoes
+    /// any stretch past the present.
     #[must_use]
     pub fn next_possible_crossing(&self) -> Option<Cycle> {
         let bridge = self.bridge.as_ref()?;
-        if !bridge.egress.is_empty() || !bridge.owed_responses.is_empty() {
-            return Some(self.now);
-        }
-        if self.write_buffer.iter().any(|entry| {
-            let addr = self.arena.get(entry.handle).addr;
-            bridge.port.map.is_remote(addr, bridge.port.own)
-        }) {
-            return Some(self.now);
-        }
-        let mut bound = u64::MAX;
-        for (position, master) in self.masters.iter().enumerate() {
-            if position == bridge.ingress_position {
-                continue;
-            }
-            let Some(ready) = master.ready_at() else {
-                continue;
-            };
-            if let Some((a, b)) = bridge.remote_ahead[position][master.trace_position()] {
-                bound = bound.min(ready.value().saturating_add(a).max(b));
-            }
-        }
-        (bound != u64::MAX).then(|| Cycle::new(bound))
+        bridge.next_possible_crossing(
+            self.now,
+            self.write_buffer
+                .iter()
+                .map(|entry| self.arena.get(entry.handle).addr),
+            self.masters
+                .iter()
+                .enumerate()
+                .filter_map(|(position, master)| {
+                    master
+                        .ready_at()
+                        .map(|ready| (position, ready, master.trace_position()))
+                }),
+        )
     }
 
     /// Delivers one bridge crossing: the transaction is queued on the
     /// bridge replay master with an absolute release at `release_at` (its
     /// arrival out of the bridge FIFO). When `respond_to` names an origin
     /// shard the crossing is a non-posted read: once the replay completes
-    /// on this shard's bus, a [`CrossingLeg::ReadResponse`] carrying the
+    /// on this shard's bus, a `ReadResponse` crossing carrying the
     /// original transaction is emitted through the egress log, addressed
     /// back to that origin. Conservative quantum synchronization
     /// guarantees `release_at` is never earlier than any cycle this shard
@@ -489,11 +361,8 @@ impl TlmSystem {
             .bridge
             .as_mut()
             .expect("inject_crossing without a bridge port");
-        let position = bridge.ingress_position;
-        let txn = bridge.port.replay_txn(source);
-        if let Some(origin) = respond_to {
-            bridge.owed_responses.push((txn.id, origin, source));
-        }
+        let position = bridge.ingress();
+        let txn = bridge.replay(source, respond_to);
         let master = &mut self.masters[position];
         let was_done = master.is_done();
         let new_head = master.insert_pending(txn, release_at);
@@ -506,14 +375,8 @@ impl TlmSystem {
         // Trace the crossing's arrival out of the bridge FIFO (delivery
         // order is the scheduler's deterministic sort, so the event
         // stream is identical across scheduler modes).
-        self.tracer.bridge(
-            TraceEventKind::BridgeReplay,
-            source.master.index() as u16,
-            source.id.value(),
-            release_at.value(),
-            release_at.value(),
-            if source.is_write() { FLAG_WRITE } else { 0 },
-        );
+        self.tracer
+            .crossing(TraceEventKind::BridgeReplay, &source, release_at);
         // The speculative pipelining caches were computed without this
         // request, but they are only ever reused at exactly the cycle
         // they were collected for (`pending_fresh_at`). A replay whose
@@ -544,35 +407,12 @@ impl TlmSystem {
     /// Panics when the system was built without a bridge port or no
     /// master is stalled on `id` (a platform routing bug).
     pub fn inject_response(&mut self, id: TransactionId, arrival: Cycle) {
-        let bridge = self
+        let parked = self
             .bridge
             .as_mut()
-            .expect("inject_response without a bridge port");
-        let index = bridge
-            .parked
-            .iter()
-            .position(|(parked_id, _)| *parked_id == id)
-            .expect("response for a transaction nobody is stalled on");
-        let (_, parked) = bridge.parked.swap_remove(index);
-        self.tracer.bridge(
-            TraceEventKind::BridgeResponse,
-            parked.txn.master.index() as u16,
-            id.value(),
-            parked.requested_at.value(),
-            arrival.value(),
-            0,
-        );
-        // The read's lifecycle span closes here, with the full
-        // round-trip latency.
-        self.tracer.span(
-            parked.txn.master.index() as u16,
-            id.value(),
-            parked.requested_at.value(),
-            parked.granted_at.value(),
-            arrival.value(),
-            parked.txn.bytes(),
-            FLAG_REMOTE,
-        );
+            .expect("inject_response without a bridge port")
+            .unpark(id);
+        self.tracer.response(&parked, arrival);
         self.recorder.record_completion(
             parked.position,
             parked.txn.bytes(),
@@ -778,23 +618,19 @@ impl TlmSystem {
         // after the address phase and the last beat completes `total()`
         // cycles after the address phase (wait states plus one cycle per
         // beat), matching the pin-accurate sequencer.
-        let (remote, stalling_read) = match self.bridge.as_ref() {
-            Some(b) if b.port.map.is_remote(txn.addr, b.port.own) => {
-                (true, !b.port.posted_reads && !txn.is_write())
-            }
-            _ => (false, false),
-        };
+        let (remote, stalling_read) = self.bridge.as_ref().map_or((false, false), |b| {
+            let remote = b.port().is_remote(txn.addr);
+            (remote, remote && b.stalls(&txn))
+        });
         debug_assert!(
             !(stalling_read && via_write_buffer),
             "reads never drain from the write buffer"
         );
         let mut row_hit = false;
-        let completed_at = if stalling_read {
+        let completed_at = if remote {
             let bridge = self.bridge.as_ref().expect("remote implies a bridge");
-            addr_phase + CycleDelta::new(bridge.port.slave_cycles + 1)
-        } else if remote {
-            let bridge = self.bridge.as_ref().expect("remote implies a bridge");
-            addr_phase + CycleDelta::new(bridge.port.slave_cycles + u64::from(txn.beats()))
+            let beats = if stalling_read { 1 } else { txn.beats() };
+            addr_phase + CycleDelta::new(bridge.port().slave_cycles + u64::from(beats))
         } else {
             let timing = self.ddr.access(
                 addr_phase + CycleDelta::ONE,
@@ -864,53 +700,12 @@ impl TlmSystem {
         }
 
         // Bridge bookkeeping: a remote transaction enters the bridge FIFO
-        // the cycle its local transfer completes; a replay completing on
-        // the bridge master is work done on behalf of a remote shard — and
-        // if that replay owed a response, the response leg leaves here.
+        // the cycle its local transfer completes; a replay that owed a
+        // response sends the response leg back from here.
         if let Some(bridge) = self.bridge.as_mut() {
-            if remote {
-                let leg = if stalling_read {
-                    CrossingLeg::NonPostedRead {
-                        origin: bridge.port.own,
-                    }
-                } else {
-                    CrossingLeg::Posted
-                };
-                bridge.egress.push(BridgeCrossing {
-                    issued_at: completed_at,
-                    txn,
-                    leg,
-                });
-                self.tracer.bridge(
-                    TraceEventKind::BridgeEgress,
-                    txn.master.index() as u16,
-                    txn.id.value(),
-                    completed_at.value(),
-                    completed_at.value(),
-                    if txn.is_write() { FLAG_WRITE } else { 0 },
-                );
-            } else if winner == bridge.port.master {
-                bridge.replayed.record(&txn);
-                if let Some(index) = bridge
-                    .owed_responses
-                    .iter()
-                    .position(|(id, ..)| *id == txn.id)
-                {
-                    let (_, origin, original) = bridge.owed_responses.swap_remove(index);
-                    bridge.egress.push(BridgeCrossing {
-                        issued_at: completed_at,
-                        txn: original,
-                        leg: CrossingLeg::ReadResponse { origin },
-                    });
-                    self.tracer.bridge(
-                        TraceEventKind::BridgeEgress,
-                        original.master.index() as u16,
-                        original.id.value(),
-                        completed_at.value(),
-                        completed_at.value(),
-                        0,
-                    );
-                }
+            if let Some(crossing) = bridge.complete(&txn, remote, completed_at) {
+                self.tracer
+                    .crossing(TraceEventKind::BridgeEgress, &crossing.txn, completed_at);
             }
         }
 
@@ -935,15 +730,12 @@ impl TlmSystem {
             self.masters[position].park_current();
             self.ready.clear(position);
             let bridge = self.bridge.as_mut().expect("stall implies a bridge");
-            bridge.parked.push((
-                txn.id,
-                ParkedRead {
-                    position,
-                    txn,
-                    requested_at,
-                    granted_at: addr_phase,
-                },
-            ));
+            bridge.park(ParkedRead {
+                position,
+                txn,
+                requested_at,
+                granted_at: addr_phase,
+            });
         } else {
             self.arena.release(handle);
             let position = self.index_by_id[winner.index()];
@@ -993,7 +785,7 @@ impl TlmSystem {
                         let hint_remote = self
                             .bridge
                             .as_ref()
-                            .is_some_and(|b| b.port.map.is_remote(info.addr, b.port.own));
+                            .is_some_and(|b| b.port().is_remote(info.addr));
                         if !hint_remote {
                             self.ddr.prepare(addr_phase + CycleDelta::ONE, info.addr);
                         }

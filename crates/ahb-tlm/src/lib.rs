@@ -30,7 +30,10 @@
 //!   next-transaction hint generation.
 //! * [`bus`] — the transaction-level bus engine and [`TlmSystem`], the
 //!   top-level object that runs a platform and produces a
-//!   [`analysis::SimReport`].
+//!   [`analysis::SimReport`]. As one shard of a multi-bus platform it
+//!   holds the shared bridge endpoint, [`amba::bridge::ShardPort`], and
+//!   adds only its own glue: the ready set, the pipelining-cache
+//!   invalidation and the tracer calls.
 //!
 //! [`TlmSystem`] implements the unified [`analysis::BusModel`] trait —
 //! bounded stepping (`run_until`/`step`), [`analysis::Probe`] snapshots

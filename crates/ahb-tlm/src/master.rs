@@ -14,7 +14,7 @@ use amba::ids::MasterId;
 use amba::qos::QosConfig;
 use amba::txn::{Transaction, TxnArena, TxnHandle};
 use simkern::time::Cycle;
-use traffic::{Release, TraceItem, TrafficTrace};
+use traffic::TrafficTrace;
 
 /// One trace-driven master port.
 #[derive(Debug, Clone)]
@@ -39,7 +39,7 @@ impl TraceMaster {
     /// Creates a master from its trace and QoS programming.
     #[must_use]
     pub fn new(trace: TrafficTrace, label: &str, qos: QosConfig, posted_writes: bool) -> Self {
-        let ready_at = first_ready_at(&trace);
+        let ready_at = trace.first_release();
         TraceMaster {
             id: trace.master(),
             label: label.to_owned(),
@@ -161,51 +161,20 @@ impl TraceMaster {
     }
 
     /// Inserts a transaction released at the absolute cycle `release_at`
-    /// into the pending tail of the trace, keeping every item not yet
-    /// issued to the bus sorted by `(release, id)`. This is how a
-    /// *dynamic* port (the AHB-to-AHB bridge master of a multi-bus
-    /// platform) receives its work at runtime; trace-driven masters never
-    /// grow after construction.
-    ///
-    /// Sorted insertion makes the replay order a pure function of the
-    /// *set* of deliveries: whether the platform hands them over one
-    /// barrier at a time (fixed quantum) or several barriers merged into
-    /// one batch (adaptive lookahead), the trace ends up identical. The
-    /// insertion can never displace work the bus has already seen — an
-    /// item that was granted, parked or released for arbitration carries
-    /// a release time no later than the current cycle, while a crossing
-    /// always arrives strictly after the barrier it was routed at — so
-    /// committed history is untouched.
+    /// into the pending tail of the trace (see
+    /// [`TrafficTrace::insert_pending`]): how the bridge replay master of
+    /// a multi-bus shard receives its work at runtime.
     ///
     /// Returns `true` when the new item became the head of the trace
     /// (`ready_at` was refreshed; the caller re-registers the master with
     /// the platform's ready set and, when the trace was exhausted, its
     /// completion bookkeeping).
     pub fn insert_pending(&mut self, txn: Transaction, release_at: Cycle) -> bool {
-        debug_assert_eq!(
-            txn.master, self.id,
-            "inserted item must belong to this port"
-        );
-        let key = (release_at, txn.id.value());
-        let offset = self.items.items()[self.next..].partition_point(|item| match item.release {
-            Release::At(at) => (at, item.txn.id.value()) < key,
-            // Dynamic ports only ever carry absolute releases.
-            Release::AfterPrevious(_) => true,
-        });
-        let position = self.next + offset;
-        self.items.insert(
-            position,
-            TraceItem {
-                release: Release::At(release_at),
-                txn,
-            },
-        );
-        if position == self.next {
+        let head = self.items.insert_pending(self.next, txn, release_at) == self.next;
+        if head {
             self.ready_at = release_at;
-            true
-        } else {
-            false
         }
+        head
     }
 
     /// Parks the head transaction: the request was issued (a non-posted
@@ -241,20 +210,9 @@ impl TraceMaster {
         self.issued += 1;
         self.completed += 1;
         self.next += 1;
-        if self.next < self.items.len() {
-            self.ready_at = match self.items.items()[self.next].release {
-                Release::AfterPrevious(gap) => done + gap,
-                Release::At(at) => at.max(done),
-            };
+        if let Some(item) = self.items.items().get(self.next) {
+            self.ready_at = item.release.after(done);
         }
-    }
-}
-
-fn first_ready_at(trace: &TrafficTrace) -> Cycle {
-    match trace.items().first().map(|i| i.release) {
-        Some(Release::AfterPrevious(gap)) => Cycle::ZERO + gap,
-        Some(Release::At(at)) => at,
-        None => Cycle::MAX,
     }
 }
 

@@ -24,6 +24,15 @@
 //! [`CrossingLeg::ReadResponse`] crosses back to retire the stalled
 //! transfer — the bridge carries traffic in both directions.
 //!
+//! # The shard port
+//!
+//! [`ShardPort`] is the shard end of the protocol, modelled once for both
+//! shard backends: the replay bookkeeping of the bridge master, the egress
+//! log the platform drains every quantum, parked reads and owed responses,
+//! and the crossing-transform table behind the lookahead bound. A backend
+//! keeps only its own glue: parking and resuming masters, its DRAM and
+//! write-buffer paths, and its trace calls.
+//!
 //! The types live here (not in the multi-bus crate) because both bus
 //! backends produce and consume them at their ports, exactly like the rest
 //! of the transaction vocabulary.
@@ -31,7 +40,7 @@
 use std::sync::Arc;
 
 use crate::ids::Addr;
-use crate::txn::Transaction;
+use crate::txn::{Transaction, TransactionId};
 use simkern::time::Cycle;
 
 /// Smallest explicit-table window shift [`WindowMap::explicit`] accepts:
@@ -176,6 +185,14 @@ pub struct BridgePort {
 }
 
 impl BridgePort {
+    /// Whether `addr` lies outside this shard's windows (a transaction to
+    /// it leaves through the bridge slave).
+    #[must_use]
+    #[inline]
+    pub fn is_remote(&self, addr: Addr) -> bool {
+        self.map.is_remote(addr, self.own)
+    }
+
     /// Turns a crossing's source transaction into the replay the bridge
     /// master issues on this shard: same address, direction, burst shape
     /// and size; the master id rewritten to the bridge port; posting
@@ -290,6 +307,205 @@ impl ReplayStats {
         self.transactions += 1;
         self.bytes += u64::from(txn.bytes());
         self.data_beats += u64::from(txn.beats());
+    }
+}
+
+/// One read transfer stalled on its bridge response: the issuing master
+/// is parked (its trace not advanced) until the
+/// [`CrossingLeg::ReadResponse`] carrying the same transaction id arrives
+/// and retires it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParkedRead {
+    /// Position of the stalled master on its shard's bus.
+    pub position: usize,
+    /// The stalled transaction (retirement needs bytes and beats).
+    pub txn: Transaction,
+    /// Cycle the request was raised (latency accounting).
+    pub requested_at: Cycle,
+    /// Cycle the request leg was granted the bus.
+    pub granted_at: Cycle,
+}
+
+/// The bridge endpoint of one bus shard inside a multi-bus platform; see
+/// the [module docs](self#the-shard-port).
+#[derive(Debug, Clone)]
+pub struct ShardPort {
+    port: BridgePort,
+    /// Position of the bridge replay master on the shard's bus.
+    ingress: usize,
+    /// Crossings issued since the last [`ShardPort::drain_into`].
+    egress: Vec<BridgeCrossing>,
+    /// Work replayed on behalf of remote shards so far.
+    replayed: ReplayStats,
+    /// Local reads stalled on a non-posted crossing.
+    parked: Vec<ParkedRead>,
+    /// Replays that owe a response: replay id → (origin shard, original
+    /// transaction).
+    owed_responses: Vec<(TransactionId, u8, Transaction)>,
+    /// Per-master release transforms for the lookahead scan (one
+    /// `traffic::TrafficTrace::crossing_transforms` table per trace
+    /// master, indexed by position): `Some((a, b))` at a trace position
+    /// bounds the next crossing by `max(t + a, b)` for a head released at
+    /// `t`. The ingress master's trace is dynamic and has no table; the
+    /// egress and owed-response checks cover its traffic.
+    remote_ahead: Vec<Vec<Option<(u64, u64)>>>,
+}
+
+impl ShardPort {
+    /// Attaches `port` to a shard whose bridge replay master sits at
+    /// position `ingress`, with the crossing-transform table of every
+    /// other master (indexed by position).
+    #[must_use]
+    pub fn new(
+        port: BridgePort,
+        ingress: usize,
+        remote_ahead: Vec<Vec<Option<(u64, u64)>>>,
+    ) -> Self {
+        ShardPort {
+            port,
+            ingress,
+            egress: Vec::new(),
+            replayed: ReplayStats::default(),
+            parked: Vec::new(),
+            owed_responses: Vec::new(),
+            remote_ahead,
+        }
+    }
+
+    /// The window decode, slave timing and replay master of this port.
+    #[must_use]
+    pub fn port(&self) -> &BridgePort {
+        &self.port
+    }
+
+    /// Position of the bridge replay master on the shard's bus.
+    #[must_use]
+    pub fn ingress(&self) -> usize {
+        self.ingress
+    }
+
+    /// Whether `txn`, addressed to a remote window, crosses non-posted:
+    /// its issuing master stalls after the request handshake until the
+    /// response returns.
+    #[must_use]
+    pub fn stalls(&self, txn: &Transaction) -> bool {
+        !self.port.posted_reads && !txn.is_write()
+    }
+
+    /// Mints the replay of a delivered crossing for the ingress master.
+    /// When `respond_to` names an origin shard the crossing is a
+    /// non-posted read, and the replay owes that shard a response leg.
+    pub fn replay(&mut self, source: Transaction, respond_to: Option<u8>) -> Transaction {
+        let txn = self.port.replay_txn(source);
+        if let Some(origin) = respond_to {
+            self.owed_responses.push((txn.id, origin, source));
+        }
+        txn
+    }
+
+    /// Accounts one transfer that completed on the shard's bus at
+    /// `completed_at` and returns the crossing it issued, if any. A
+    /// `remote` transfer (the backend has already decoded its address)
+    /// enters the bridge FIFO as a request leg, non-posted for a stalling
+    /// read; a replay is work done on behalf of a remote shard, and if it
+    /// owed a response, the response leg carrying the original
+    /// transaction leaves here.
+    pub fn complete(
+        &mut self,
+        txn: &Transaction,
+        remote: bool,
+        completed_at: Cycle,
+    ) -> Option<BridgeCrossing> {
+        let (txn, leg) = if remote && self.stalls(txn) {
+            let origin = self.port.own;
+            (*txn, CrossingLeg::NonPostedRead { origin })
+        } else if remote {
+            (*txn, CrossingLeg::Posted)
+        } else if txn.master == self.port.master {
+            self.replayed.record(txn);
+            let index = self
+                .owed_responses
+                .iter()
+                .position(|(id, ..)| *id == txn.id)?;
+            let (_, origin, original) = self.owed_responses.swap_remove(index);
+            (original, CrossingLeg::ReadResponse { origin })
+        } else {
+            return None;
+        };
+        let crossing = BridgeCrossing {
+            issued_at: completed_at,
+            txn,
+            leg,
+        };
+        self.egress.push(crossing);
+        Some(crossing)
+    }
+
+    /// Parks a stalled read until its response leg arrives.
+    pub fn park(&mut self, read: ParkedRead) {
+        self.parked.push(read);
+    }
+
+    /// Takes the read stalled on transaction `id` off the parked list.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no read is stalled on `id` (a platform routing bug).
+    pub fn unpark(&mut self, id: TransactionId) -> ParkedRead {
+        let index = self
+            .parked
+            .iter()
+            .position(|read| read.txn.id == id)
+            .expect("response for a transaction nobody is stalled on");
+        self.parked.swap_remove(index)
+    }
+
+    /// Clears `out` and swaps it with the egress log (crossings in local
+    /// completion order), so a scheduler draining every quantum recycles
+    /// the same two buffers instead of allocating per crossing batch.
+    pub fn drain_into(&mut self, out: &mut Vec<BridgeCrossing>) {
+        out.clear();
+        std::mem::swap(&mut self.egress, out);
+    }
+
+    /// Work the bridge master replayed on behalf of remote shards so far.
+    #[must_use]
+    pub fn replayed(&self) -> ReplayStats {
+        self.replayed
+    }
+
+    /// Conservative lower bound on the earliest cycle the shard could
+    /// issue another crossing, or `None` when it never can from its
+    /// current state. It is `now` while traffic is imminent (undrained
+    /// egress, a replay owing a response, a remote address among the
+    /// backend's `buffered` posted writes); otherwise the minimum of each
+    /// master's transform over its `(position, head release, trace
+    /// position)` in `heads`. A crossing issued at `t` reaches no other
+    /// shard before `t` plus the link latency, so the scheduler may run
+    /// every shard to the minimum bound without exchanging.
+    #[must_use]
+    pub fn next_possible_crossing(
+        &self,
+        now: Cycle,
+        buffered: impl IntoIterator<Item = Addr>,
+        heads: impl IntoIterator<Item = (usize, Cycle, usize)>,
+    ) -> Option<Cycle> {
+        if !self.egress.is_empty()
+            || !self.owed_responses.is_empty()
+            || buffered.into_iter().any(|addr| self.port.is_remote(addr))
+        {
+            return Some(now);
+        }
+        let mut bound = u64::MAX;
+        for (position, release, trace_position) in heads {
+            if position == self.ingress {
+                continue;
+            }
+            if let Some((a, b)) = self.remote_ahead[position][trace_position] {
+                bound = bound.min(release.value().saturating_add(a).max(b));
+            }
+        }
+        (bound != u64::MAX).then(|| Cycle::new(bound))
     }
 }
 
@@ -445,5 +661,155 @@ mod tests {
         assert_eq!(stats.transactions, 2);
         assert_eq!(stats.data_beats, 16);
         assert_eq!(stats.bytes, u64::from(txn.bytes()) * 2);
+    }
+
+    fn read_at(master: u8, addr: u32, id: u64) -> Transaction {
+        Transaction::new(
+            MasterId::new(master),
+            Addr::new(addr),
+            TransferDirection::Read,
+            BurstKind::Incr4,
+            HSize::Word,
+        )
+        .with_id(crate::txn::TransactionId::new(id))
+    }
+
+    /// Shard 3 of `port()`, with non-posted reads, one trace master at
+    /// position 0 and the replay master at position 1.
+    fn shard_port(remote_ahead: Vec<Option<(u64, u64)>>) -> ShardPort {
+        let port = BridgePort {
+            posted_reads: false,
+            ..port()
+        };
+        ShardPort::new(port, 1, vec![remote_ahead])
+    }
+
+    #[test]
+    fn a_replay_owing_a_response_emits_exactly_one_response_leg() {
+        let mut shard = shard_port(vec![None]);
+        // A read from shard 1 to an address shard 3 owns.
+        let source = read_at(7, 0x0300_0000, 41);
+        let replay = shard.replay(source, Some(1));
+        assert_eq!(replay.master, MasterId::new(252));
+        let crossing = shard.complete(&replay, false, Cycle::new(90));
+        let expected = BridgeCrossing {
+            issued_at: Cycle::new(90),
+            txn: source,
+            leg: CrossingLeg::ReadResponse { origin: 1 },
+        };
+        assert_eq!(crossing, Some(expected));
+        let mut drained = Vec::new();
+        shard.drain_into(&mut drained);
+        assert_eq!(drained, [expected]);
+        assert_eq!(shard.replayed().transactions, 1);
+        assert_eq!(shard.replayed().data_beats, 4);
+    }
+
+    #[test]
+    fn a_posted_replay_emits_no_response_leg() {
+        let mut shard = shard_port(vec![None]);
+        let replay = shard.replay(read_at(7, 0x0300_0000, 41), None);
+        assert_eq!(shard.complete(&replay, false, Cycle::new(90)), None);
+        let mut drained = vec![BridgeCrossing::posted(Cycle::ZERO, replay)];
+        shard.drain_into(&mut drained);
+        assert!(
+            drained.is_empty(),
+            "drain_into clears the buffer it swaps in"
+        );
+        assert_eq!(shard.replayed().transactions, 1);
+    }
+
+    #[test]
+    fn remote_transfers_leave_as_request_legs_and_local_ones_do_not() {
+        let mut shard = shard_port(vec![None]);
+        let remote_read = read_at(0, 0x0100_0000, 1);
+        assert!(shard.stalls(&remote_read));
+        let leg = shard
+            .complete(&remote_read, true, Cycle::new(5))
+            .map(|c| c.leg);
+        assert_eq!(leg, Some(CrossingLeg::NonPostedRead { origin: 3 }));
+        let mut remote_write = read_at(0, 0x0100_0000, 2);
+        remote_write.direction = TransferDirection::Write;
+        assert!(!shard.stalls(&remote_write));
+        let leg = shard
+            .complete(&remote_write, true, Cycle::new(6))
+            .map(|c| c.leg);
+        assert_eq!(leg, Some(CrossingLeg::Posted));
+        let local = read_at(0, 0x0300_0000, 3);
+        assert_eq!(shard.complete(&local, false, Cycle::new(7)), None);
+        assert_eq!(shard.replayed(), ReplayStats::default());
+    }
+
+    #[test]
+    fn parked_reads_are_found_by_transaction_id() {
+        let mut shard = shard_port(vec![None]);
+        for id in [4, 9] {
+            shard.park(ParkedRead {
+                position: 0,
+                txn: read_at(0, 0x0100_0000, id),
+                requested_at: Cycle::new(id),
+                granted_at: Cycle::new(id + 1),
+            });
+        }
+        let read = shard.unpark(crate::txn::TransactionId::new(9));
+        assert_eq!(read.requested_at, Cycle::new(9));
+        assert_eq!(read.txn.id.value(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "response for a transaction nobody is stalled on")]
+    fn a_response_nobody_waits_for_panics() {
+        let mut shard = shard_port(vec![None]);
+        let _ = shard.unpark(crate::txn::TransactionId::new(5));
+    }
+
+    #[test]
+    fn the_lookahead_bound_applies_each_head_transform() {
+        // Master 0: a remote item two positions ahead, releasing at
+        // `max(t + 30, 100)` given its head releases at `t`.
+        let shard = shard_port(vec![Some((30, 100)), Some((0, 0)), None]);
+        let none = std::iter::empty::<Addr>;
+        let at = |t| Some(Cycle::new(t));
+        assert_eq!(
+            shard.next_possible_crossing(Cycle::ZERO, none(), [(0, Cycle::new(10), 0)]),
+            at(100)
+        );
+        assert_eq!(
+            shard.next_possible_crossing(Cycle::ZERO, none(), [(0, Cycle::new(90), 0)]),
+            at(120)
+        );
+        assert_eq!(
+            shard.next_possible_crossing(Cycle::ZERO, none(), [(0, Cycle::new(90), 1)]),
+            at(90)
+        );
+        // Past the last remote item, and the ingress master, bound nothing.
+        let heads = [(0, Cycle::new(90), 2), (1, Cycle::new(5), 0)];
+        assert_eq!(
+            shard.next_possible_crossing(Cycle::ZERO, none(), heads),
+            None
+        );
+        // A saturated release (a parked master) stays out of the minimum.
+        assert_eq!(
+            shard.next_possible_crossing(Cycle::ZERO, none(), [(0, Cycle::MAX, 0)]),
+            None
+        );
+        // A remote posted write waiting in a buffer is imminent.
+        let buffered = [Addr::new(0x0300_0000), Addr::new(0x0100_0000)];
+        assert_eq!(
+            shard.next_possible_crossing(Cycle::new(7), buffered, [(0, Cycle::new(90), 2)]),
+            at(7)
+        );
+    }
+
+    #[test]
+    fn undrained_egress_and_owed_responses_are_imminent() {
+        let mut shard = shard_port(vec![None]);
+        let now = Cycle::new(40);
+        let _ = shard.complete(&read_at(0, 0x0100_0000, 1), true, Cycle::new(30));
+        assert_eq!(shard.next_possible_crossing(now, [], []), Some(now));
+        shard.drain_into(&mut Vec::new());
+        assert_eq!(shard.next_possible_crossing(now, [], []), None);
+        let _ = shard.replay(read_at(7, 0x0300_0000, 41), Some(1));
+        assert_eq!(shard.next_possible_crossing(now, [], []), Some(now));
     }
 }

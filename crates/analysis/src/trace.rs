@@ -29,6 +29,10 @@
 
 use std::fmt::Write as _;
 
+use amba::bridge::ParkedRead;
+use amba::txn::Transaction;
+use simkern::time::Cycle;
+
 use crate::jsonfmt::escape_json;
 use crate::model::Probe;
 
@@ -488,6 +492,47 @@ impl Tracer {
             flags: flags | FLAG_REMOTE,
             kind,
         });
+    }
+
+    /// Records a bridge leg of `txn` entering or leaving a shard at `at`:
+    /// a [`TraceEventKind::BridgeEgress`] into the bridge FIFO or a
+    /// [`TraceEventKind::BridgeReplay`] arriving out of it.
+    #[inline]
+    pub fn crossing(&mut self, kind: TraceEventKind, txn: &Transaction, at: Cycle) {
+        self.bridge(
+            kind,
+            txn.master.index() as u16,
+            txn.id.value(),
+            at.value(),
+            at.value(),
+            if txn.is_write() { FLAG_WRITE } else { 0 },
+        );
+    }
+
+    /// Records the response leg of a non-posted read arriving at
+    /// `arrival`, and the read's lifecycle span, which closes here with
+    /// the full round-trip latency.
+    #[inline]
+    pub fn response(&mut self, read: &ParkedRead, arrival: Cycle) {
+        let (master, id) = (read.txn.master.index() as u16, read.txn.id.value());
+        let requested_at = read.requested_at.value();
+        self.bridge(
+            TraceEventKind::BridgeResponse,
+            master,
+            id,
+            requested_at,
+            arrival.value(),
+            0,
+        );
+        self.span(
+            master,
+            id,
+            requested_at,
+            read.granted_at.value(),
+            arrival.value(),
+            read.txn.bytes(),
+            FLAG_REMOTE,
+        );
     }
 
     /// Records a scheduler quantum barrier (multi-shard platforms).

@@ -305,10 +305,15 @@ impl CampaignServer {
 }
 
 fn handle_connection(mut stream: TcpStream, metrics: &ServerMetrics) {
+    // The whole request must arrive within one socket timeout of this
+    // handler taking the connection (queueing behind busy handlers is not
+    // the client's fault); a per-read timeout alone lets a trickling
+    // client hold the handler indefinitely.
+    let deadline = Instant::now() + SOCKET_TIMEOUT;
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     ServerMetrics::add(&metrics.requests, 1);
-    let request = match read_request(&mut stream) {
+    let request = match read_request(&mut stream, deadline) {
         Ok(request) => request,
         Err(message) => {
             ServerMetrics::add(&metrics.errors, 1);
@@ -355,7 +360,19 @@ struct Request {
     body: Vec<u8>,
 }
 
-fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+/// Reads one request head and body from `stream`, giving up with an
+/// error once `deadline` has passed (checked before every read, so a
+/// handler is held at most one read timeout past it).
+fn read_request(stream: &mut impl Read, deadline: Instant) -> Result<Request, String> {
+    let mut read = |chunk: &mut [u8]| {
+        if Instant::now() >= deadline {
+            return Err(format!(
+                "request not received within {} s",
+                SOCKET_TIMEOUT.as_secs()
+            ));
+        }
+        stream.read(chunk).map_err(|e| e.to_string())
+    };
     let mut buffer = Vec::new();
     let mut chunk = [0u8; 4096];
     let head_end = loop {
@@ -365,7 +382,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
         if buffer.len() > MAX_HEAD_BYTES {
             return Err("request head too large".to_owned());
         }
-        let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
+        let n = read(&mut chunk)?;
         if n == 0 {
             return Err("connection closed before request head".to_owned());
         }
@@ -399,7 +416,7 @@ fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     }
     let mut body = buffer[head_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(|e| e.to_string())?;
+        let n = read(&mut chunk)?;
         if n == 0 {
             return Err("connection closed mid-body".to_owned());
         }
@@ -641,6 +658,31 @@ fn stream_run(stream: &mut TcpStream, run: &RunRequest, metrics: &ServerMetrics)
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A client that sends a valid head announcing the largest body, then
+    /// trickles one byte per read, 1 ms apart.
+    struct Trickle {
+        sent: usize,
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let head = format!("POST /run HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n");
+            std::thread::sleep(Duration::from_millis(1));
+            buf[0] = head.as_bytes().get(self.sent).copied().unwrap_or(b' ');
+            self.sent += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn a_trickling_client_is_cut_off_at_the_deadline() {
+        let deadline = Instant::now() + Duration::from_millis(20);
+        let error = read_request(&mut Trickle { sent: 0 }, deadline)
+            .err()
+            .expect("a request trickling past its deadline must be refused");
+        assert!(error.contains("not received within"), "{error}");
+    }
 
     #[test]
     fn run_requests_parse_validate_and_hash() {

@@ -36,9 +36,10 @@ pub mod profile;
 pub mod trace;
 
 pub use pattern::{
-    pattern_a, pattern_b, pattern_by_name, pattern_c, pattern_dual_stream, pattern_many,
-    pattern_many_32, pattern_many_64, pattern_qos_stress, pattern_registry, pattern_shards,
-    pattern_shards_read_union, pattern_shards_union, ShardMix, TrafficPattern, SHARD_WINDOW_SHIFT,
+    attach_bridge, pattern_a, pattern_b, pattern_by_name, pattern_c, pattern_dual_stream,
+    pattern_many, pattern_many_32, pattern_many_64, pattern_qos_stress, pattern_registry,
+    pattern_shards, pattern_shards_read_union, pattern_shards_union, ShardMix, TrafficPattern,
+    SHARD_WINDOW_SHIFT,
 };
 pub use profile::{MasterKind, MasterProfile, ReleasePolicy};
 pub use trace::{Release, TraceItem, TrafficTrace, Workload};

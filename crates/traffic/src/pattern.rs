@@ -23,6 +23,7 @@
 //! [`pattern_by_name`], which is what declarative scenario descriptions
 //! resolve against.
 
+use amba::bridge::{BridgePort, ShardPort};
 use amba::ids::{Addr, MasterId};
 
 use crate::profile::{MasterProfile, ReleasePolicy};
@@ -87,6 +88,47 @@ impl TrafficPattern {
     pub fn table1_catalogue() -> Vec<TrafficPattern> {
         vec![pattern_a(), pattern_b(), pattern_c()]
     }
+}
+
+/// Attaches the bridge endpoint of one multi-bus shard to the build
+/// tuples of its masters (as [`TrafficPattern::expand`] produces them):
+/// every trace contributes its
+/// [`crossing_transforms`](crate::trace::TrafficTrace::crossing_transforms)
+/// table, and the bridge replay master is appended as the last port — an
+/// empty trace the backend extends at runtime. Replays are never posted
+/// (the write buffer belongs to the shard's own masters) and arbitrate as
+/// a plain non-real-time requester.
+///
+/// # Panics
+///
+/// Panics when the bridge master id collides with a trace master.
+pub fn attach_bridge(
+    masters: &mut Vec<(
+        crate::trace::TrafficTrace,
+        String,
+        amba::qos::QosConfig,
+        bool,
+    )>,
+    port: BridgePort,
+) -> ShardPort {
+    assert!(
+        masters
+            .iter()
+            .all(|(trace, ..)| trace.master() != port.master),
+        "bridge master id {} collides with another master",
+        port.master
+    );
+    let remote_ahead = masters
+        .iter()
+        .map(|(trace, ..)| trace.crossing_transforms(|addr| port.is_remote(addr)))
+        .collect();
+    masters.push((
+        crate::trace::TrafficTrace::empty(port.master),
+        "bridge".to_owned(),
+        amba::qos::QosConfig::non_real_time(u8::MAX - 1),
+        false,
+    ));
+    ShardPort::new(port, masters.len() - 1, remote_ahead)
 }
 
 /// A registered pattern constructor.

@@ -26,6 +26,30 @@ pub enum Release {
     At(Cycle),
 }
 
+impl Release {
+    /// The rule as the affine-max pair `(a, b)`: the item releases at
+    /// `max(done + a, b)` once the previous item completed at `done`
+    /// (`AfterPrevious(gap)` → `(gap, 0)`, `At(at)` → `(0, at)`). Pairs
+    /// compose, which is what [`TrafficTrace::crossing_transforms`]
+    /// folds along a trace.
+    #[must_use]
+    pub fn affine(self) -> (u64, u64) {
+        match self {
+            Release::AfterPrevious(gap) => (gap.value(), 0),
+            Release::At(at) => (0, at.value()),
+        }
+    }
+
+    /// The cycle the item releases at when the previous item of its trace
+    /// completed (or, for a posted write, was absorbed) at `done`. The
+    /// first item of a trace uses `done = Cycle::ZERO`.
+    #[must_use]
+    pub fn after(self, done: Cycle) -> Cycle {
+        let (a, b) = self.affine();
+        Cycle::new((done.value() + a).max(b))
+    }
+}
+
 /// One entry of a traffic trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceItem {
@@ -45,7 +69,7 @@ pub struct TrafficTrace {
 impl TrafficTrace {
     /// An empty trace owned by `master`. Dynamic ports (the AHB-to-AHB
     /// bridge master of a multi-bus platform) start from this and receive
-    /// their items at runtime via [`TrafficTrace::push`].
+    /// their items at runtime via [`TrafficTrace::insert_pending`].
     #[must_use]
     pub fn empty(master: MasterId) -> Self {
         TrafficTrace {
@@ -54,38 +78,79 @@ impl TrafficTrace {
         }
     }
 
-    /// Appends one item to the trace. Used by dynamic ports whose work
-    /// arrives during simulation (bridge replays); generated workloads are
-    /// immutable after expansion.
+    /// Inserts a transaction released at the absolute cycle `release_at`
+    /// into the not-yet-issued tail `from..` of the trace, keeping that
+    /// tail sorted by `(release, id)`, and returns its index. This is how
+    /// a *dynamic* port (the bridge replay master) receives its work;
+    /// generated workloads never grow after expansion.
+    ///
+    /// Sorted insertion makes the replay order a pure function of the
+    /// *set* of deliveries: whether the platform hands them over one
+    /// barrier at a time (fixed quantum) or several barriers merged into
+    /// one batch (adaptive lookahead), the trace ends up identical. The
+    /// insertion never displaces work the bus has already seen: an item
+    /// that was granted, parked or released for arbitration carries a
+    /// release no later than the current cycle, while a crossing always
+    /// arrives strictly after the barrier it was routed at. An index equal
+    /// to `from` means the new item is the head; the port refreshes its
+    /// release.
     ///
     /// # Panics
     ///
-    /// Panics when the item's transaction does not belong to this trace's
-    /// master.
-    pub fn push(&mut self, item: TraceItem) {
+    /// Panics when the transaction does not belong to this trace's master.
+    pub fn insert_pending(&mut self, from: usize, txn: Transaction, release_at: Cycle) -> usize {
         assert_eq!(
-            item.txn.master, self.master,
-            "trace item pushed onto the wrong master's trace"
-        );
-        self.items.push(item);
-    }
-
-    /// Inserts one item at `index`, shifting later entries back. Dynamic
-    /// bridge ports use this to keep their not-yet-issued tail sorted by
-    /// release time, so the shape of the delivery batches (one per
-    /// barrier under a fixed quantum, merged under adaptive lookahead)
-    /// cannot influence replay order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the item's transaction does not belong to this trace's
-    /// master or `index` is out of bounds.
-    pub fn insert(&mut self, index: usize, item: TraceItem) {
-        assert_eq!(
-            item.txn.master, self.master,
+            txn.master, self.master,
             "trace item inserted into the wrong master's trace"
         );
-        self.items.insert(index, item);
+        let key = (release_at, txn.id.value());
+        let index = from
+            + self.items[from..].partition_point(|item| match item.release {
+                Release::At(at) => (at, item.txn.id.value()) < key,
+                // Dynamic ports only ever carry absolute releases.
+                Release::AfterPrevious(_) => true,
+            });
+        self.items.insert(
+            index,
+            TraceItem {
+                release: Release::At(release_at),
+                txn,
+            },
+        );
+        index
+    }
+
+    /// The release cycle of the first item, or `Cycle::MAX` for an empty
+    /// trace.
+    #[must_use]
+    pub fn first_release(&self) -> Cycle {
+        self.items
+            .first()
+            .map_or(Cycle::MAX, |item| item.release.after(Cycle::ZERO))
+    }
+
+    /// The backward min-plus transform table the multi-bus lookahead scan
+    /// evaluates in O(1): entry `p` is `Some((a, b))` when, with the item
+    /// at `p` releasing no earlier than `t`, the earliest cycle an item
+    /// for which `is_remote` holds can release is `max(t + a, b)`; `None`
+    /// means no such item remains from `p` on. Each entry composes the
+    /// [`Release::affine`] steps up to the next remote item. Entry `len()`
+    /// is the past-the-end sentinel.
+    #[must_use]
+    pub fn crossing_transforms(&self, is_remote: impl Fn(Addr) -> bool) -> Vec<Option<(u64, u64)>> {
+        let items = &self.items;
+        let mut ahead: Vec<Option<(u64, u64)>> = vec![None; items.len() + 1];
+        for p in (0..items.len()).rev() {
+            ahead[p] = if is_remote(items[p].txn.addr) {
+                Some((0, 0))
+            } else {
+                ahead[p + 1].map(|(a2, b2)| {
+                    let (a1, b1) = items[p + 1].release.affine();
+                    (a1.saturating_add(a2), b1.saturating_add(a2).max(b2))
+                })
+            };
+        }
+        ahead
     }
 
     /// The master this trace belongs to.
@@ -366,6 +431,57 @@ mod tests {
     }
 
     #[test]
+    fn release_rule_follows_completion_or_the_absolute_slot() {
+        assert_eq!(Release::AfterPrevious(CycleDelta::new(7)).affine(), (7, 0));
+        assert_eq!(Release::At(Cycle::new(40)).affine(), (0, 40));
+        assert_eq!(
+            Release::AfterPrevious(CycleDelta::new(7)).after(Cycle::new(10)),
+            Cycle::new(17)
+        );
+        assert_eq!(
+            Release::At(Cycle::new(40)).after(Cycle::new(10)),
+            Cycle::new(40)
+        );
+        assert_eq!(
+            Release::At(Cycle::new(40)).after(Cycle::new(50)),
+            Cycle::new(50)
+        );
+        assert_eq!(
+            TrafficTrace::empty(MasterId::new(0)).first_release(),
+            Cycle::MAX
+        );
+    }
+
+    fn bridge_txn(id: u64) -> Transaction {
+        Transaction::new(
+            MasterId::new(9),
+            Addr::new(0x1000),
+            TransferDirection::Write,
+            amba::burst::BurstKind::Incr4,
+            amba::signal::HSize::Word,
+        )
+        .with_id(TransactionId::new(id))
+    }
+
+    #[test]
+    fn pending_insertions_keep_the_tail_sorted_by_release_then_id() {
+        let mut trace = TrafficTrace::empty(MasterId::new(9));
+        assert_eq!(trace.insert_pending(0, bridge_txn(5), Cycle::new(100)), 0);
+        assert_eq!(trace.insert_pending(0, bridge_txn(3), Cycle::new(100)), 0);
+        assert_eq!(trace.insert_pending(0, bridge_txn(1), Cycle::new(200)), 2);
+        // Items before `from` are committed history and never reordered.
+        assert_eq!(trace.insert_pending(1, bridge_txn(0), Cycle::new(50)), 1);
+        let order: Vec<u64> = trace.items().iter().map(|i| i.txn.id.value()).collect();
+        assert_eq!(order, [3, 0, 5, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong master")]
+    fn pending_insertions_reject_foreign_transactions() {
+        TrafficTrace::empty(MasterId::new(1)).insert_pending(0, bridge_txn(0), Cycle::ZERO);
+    }
+
+    #[test]
     fn trace_totals_are_consistent() {
         let trace = Workload::new(MasterId::new(0), MasterProfile::dma_stream(), 8).generate(50);
         assert_eq!(trace.len(), 50);
@@ -374,5 +490,73 @@ mod tests {
         assert_eq!(trace.master(), MasterId::new(0));
         let kind = MasterKind::StreamingDma;
         assert_eq!(kind.label(), "dma");
+    }
+
+    /// A trace sampled from raw words: bit 0 picks the rule
+    /// (`AfterPrevious(gap ≤ 50)` or `At(t ≤ 5000)`), bit 1 marks the
+    /// item remote, and item `i` sits at address `i << 12` so the remote
+    /// mask can be read back from the address.
+    fn sampled_trace(words: &[u64]) -> (TrafficTrace, Vec<bool>) {
+        let mut items = Vec::with_capacity(words.len());
+        let mut remote = Vec::with_capacity(words.len());
+        for (i, &word) in words.iter().enumerate() {
+            let release = if word & 1 == 0 {
+                Release::AfterPrevious(CycleDelta::new((word >> 8) % 51))
+            } else {
+                Release::At(Cycle::new((word >> 8) % 5001))
+            };
+            let txn = Transaction::new(
+                MasterId::new(0),
+                Addr::new((i as u32) << 12),
+                TransferDirection::Read,
+                amba::burst::BurstKind::Single,
+                amba::signal::HSize::Word,
+            );
+            items.push(TraceItem { release, txn });
+            remote.push(word & 2 != 0);
+        }
+        let trace = TrafficTrace {
+            master: MasterId::new(0),
+            items,
+        };
+        (trace, remote)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crossing_transforms_match_a_forward_walk(
+            words in proptest::collection::vec(proptest::any::<u64>(), 0..33),
+            head in 0u64..6000,
+        ) {
+            let (trace, remote) = sampled_trace(&words);
+            let table = trace.crossing_transforms(|addr| remote[(addr.value() >> 12) as usize]);
+            proptest::prop_assert_eq!(table.len(), trace.len() + 1);
+            proptest::prop_assert_eq!(table[trace.len()], None);
+            for (p, entry) in table.iter().enumerate().take(trace.len()) {
+                for t in [0, head, head / 7, head + 4999] {
+                    // Brute force: release each item at the earliest the
+                    // rule allows (its predecessor done at its own
+                    // release) until the first remote item.
+                    let mut at = Cycle::new(t);
+                    let mut q = p;
+                    while q < trace.len() && !remote[q] {
+                        q += 1;
+                        if q < trace.len() {
+                            at = trace.items()[q].release.after(at);
+                        }
+                    }
+                    match entry {
+                        Some((a, b)) => {
+                            proptest::prop_assert!(q < trace.len(), "Some past the last remote item");
+                            proptest::prop_assert_eq!(Cycle::new((t + a).max(*b)), at);
+                        }
+                        None => proptest::prop_assert!(
+                            remote[p..].iter().all(|r| !r),
+                            "None with a remote item ahead at {}", p
+                        ),
+                    }
+                }
+            }
+        }
     }
 }
