@@ -182,13 +182,6 @@ impl Topology {
         self
     }
 
-    /// Returns a copy with a different default link configuration.
-    #[must_use]
-    pub fn with_default_link(mut self, link: BridgeConfig) -> Self {
-        self.default_link = link;
-        self
-    }
-
     /// Returns a copy overriding the directed link `source → destination`
     /// (later overrides of the same pair win). The override applies to
     /// the link's crossing latency, FIFO depth and forward interval;

@@ -176,7 +176,7 @@ impl TlmSystem {
         );
         let mut trace_masters = Vec::with_capacity(masters.len());
         for (trace, label, qos, posted) in masters {
-            let master = TraceMaster::new(trace, &label, qos, posted);
+            let master = TraceMaster::new(trace, posted);
             // The recorder slot of a master is its position.
             recorder.register_master(master.id(), &label, qos);
             arbiter.program_qos(master.id(), qos);

@@ -5,13 +5,12 @@
 //! returns true, then calls `Read(addr, *data, *ctrl)` / `Write(...)` and
 //! receives an `OK` status (§3.2). [`TraceMaster`] reproduces that behaviour
 //! while being driven from a pre-generated [`TrafficTrace`]: it exposes the
-//! transaction it currently wants to issue (`pending_at`), and is told by
-//! the bus when that transaction completed (`complete_current`), after which
+//! transaction it currently wants to issue (`intern_pending`), and is told
+//! by the bus when that transaction completed (`complete_current`), after which
 //! it computes the release time of its next request (closed-loop think time
 //! or periodic release).
 
 use amba::ids::MasterId;
-use amba::qos::QosConfig;
 use amba::txn::{Transaction, TxnArena, TxnHandle};
 use simkern::time::Cycle;
 use traffic::TrafficTrace;
@@ -20,14 +19,10 @@ use traffic::TrafficTrace;
 #[derive(Debug, Clone)]
 pub struct TraceMaster {
     id: MasterId,
-    label: String,
-    qos: QosConfig,
     posted_writes: bool,
     items: TrafficTrace,
     next: usize,
     ready_at: Cycle,
-    issued: u64,
-    completed: u64,
     /// Pooled handle of the head-of-trace transaction, interned lazily the
     /// first time the request becomes visible to the bus. The master owns
     /// the handle until the transaction retires (bus releases it) or the
@@ -36,20 +31,16 @@ pub struct TraceMaster {
 }
 
 impl TraceMaster {
-    /// Creates a master from its trace and QoS programming.
+    /// Creates a master from its trace.
     #[must_use]
-    pub fn new(trace: TrafficTrace, label: &str, qos: QosConfig, posted_writes: bool) -> Self {
+    pub fn new(trace: TrafficTrace, posted_writes: bool) -> Self {
         let ready_at = trace.first_release();
         TraceMaster {
             id: trace.master(),
-            label: label.to_owned(),
-            qos,
             posted_writes,
             items: trace,
             next: 0,
             ready_at,
-            issued: 0,
-            completed: 0,
             handle: None,
         }
     }
@@ -58,18 +49,6 @@ impl TraceMaster {
     #[must_use]
     pub fn id(&self) -> MasterId {
         self.id
-    }
-
-    /// Human-readable label ("cpu", "video", ...).
-    #[must_use]
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// QoS register programming of this master.
-    #[must_use]
-    pub fn qos(&self) -> QosConfig {
-        self.qos
     }
 
     /// Whether this master tolerates posting its writes.
@@ -84,18 +63,6 @@ impl TraceMaster {
         self.next >= self.items.len()
     }
 
-    /// Number of transactions handed to the bus so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Number of transactions completed so far.
-    #[must_use]
-    pub fn completed(&self) -> u64 {
-        self.completed
-    }
-
     /// The cycle at which the head-of-trace transaction wants the bus, or
     /// `None` when the trace is exhausted. This is the `HBUSREQ` assertion
     /// time at the signal level.
@@ -106,24 +73,6 @@ impl TraceMaster {
         } else {
             Some(self.ready_at)
         }
-    }
-
-    /// The transaction this master wants to issue at `now`, if its release
-    /// time has been reached (the `CheckGrant()` loop of the paper: the
-    /// request is pending, the bus decides when to grant it).
-    #[must_use]
-    pub fn pending_at(&self, now: Cycle) -> Option<&Transaction> {
-        if self.is_done() || self.ready_at > now {
-            None
-        } else {
-            Some(&self.items.items()[self.next].txn)
-        }
-    }
-
-    /// The head-of-trace transaction regardless of its release time.
-    #[must_use]
-    pub fn current(&self) -> Option<&Transaction> {
-        self.items.items().get(self.next).map(|i| &i.txn)
     }
 
     /// Index of the head-of-trace item. The multi-bus lookahead scan uses
@@ -144,11 +93,13 @@ impl TraceMaster {
             .all(|item| amba::check::validate_transaction(&item.txn).is_ok())
     }
 
-    /// Like [`TraceMaster::pending_at`], but returns (and caches) a pooled
-    /// handle instead of a borrow: the head transaction is copied into the
-    /// arena the first time the request becomes visible and the same handle
-    /// is returned until the transaction retires, so repeated arbitration
-    /// rounds never clone it.
+    /// The pooled handle of the transaction this master wants to issue at
+    /// `now`, if its release time has been reached (the `CheckGrant()` loop
+    /// of the paper: the request is pending, the bus decides when to grant
+    /// it). The head transaction is copied into the arena the first time
+    /// the request becomes visible and the same handle is returned until
+    /// the transaction retires, so repeated arbitration rounds never clone
+    /// it.
     pub fn intern_pending(&mut self, now: Cycle, arena: &mut TxnArena) -> Option<TxnHandle> {
         if self.is_done() || self.ready_at > now {
             return None;
@@ -207,8 +158,6 @@ impl TraceMaster {
     pub fn complete_current(&mut self, done: Cycle) {
         assert!(!self.is_done(), "complete_current on an exhausted trace");
         self.handle = None;
-        self.issued += 1;
-        self.completed += 1;
         self.next += 1;
         if let Some(item) = self.items.items().get(self.next) {
             self.ready_at = item.release.after(done);
@@ -224,23 +173,20 @@ mod tests {
 
     fn master(profile: MasterProfile, count: usize) -> TraceMaster {
         let trace = Workload::new(MasterId::new(1), profile.clone(), 42).generate(count);
-        TraceMaster::new(
-            trace,
-            profile.kind.label(),
-            profile.qos_config(),
-            profile.posted_writes,
-        )
+        TraceMaster::new(trace, profile.posted_writes)
     }
 
     #[test]
     fn fresh_master_exposes_first_item_after_release() {
-        let m = master(MasterProfile::cpu(), 10);
+        let mut m = master(MasterProfile::cpu(), 10);
+        let mut arena = TxnArena::new();
         let ready = m.ready_at().expect("not done");
-        assert!(m.pending_at(ready).is_some());
         if ready > Cycle::ZERO {
-            assert!(m.pending_at(Cycle::ZERO).is_none());
+            assert!(m.intern_pending(Cycle::ZERO, &mut arena).is_none());
         }
-        assert_eq!(m.completed(), 0);
+        let handle = m.intern_pending(ready, &mut arena).expect("released");
+        assert_eq!(m.intern_pending(ready, &mut arena), Some(handle));
+        assert_eq!(m.trace_position(), 0);
         assert!(!m.is_done());
     }
 
@@ -254,9 +200,11 @@ mod tests {
             m.complete_current(now);
         }
         assert!(m.is_done());
-        assert_eq!(m.completed(), 5);
+        assert_eq!(m.trace_position(), 5);
         assert!(m.ready_at().is_none());
-        assert!(m.pending_at(Cycle::new(1_000_000)).is_none());
+        assert!(m
+            .intern_pending(Cycle::new(1_000_000), &mut TxnArena::new())
+            .is_none());
     }
 
     #[test]
@@ -297,9 +245,7 @@ mod tests {
     fn metadata_accessors() {
         let m = master(MasterProfile::video_realtime(), 2);
         assert_eq!(m.id(), MasterId::new(1));
-        assert_eq!(m.label(), "video");
-        assert!(m.qos().class.is_real_time());
         assert!(!m.posted_writes());
-        assert!(m.current().is_some());
+        assert!(m.trace_is_valid());
     }
 }

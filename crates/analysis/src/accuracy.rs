@@ -2,166 +2,91 @@
 //!
 //! The paper validates the transaction-level AHB+ model by simulating the
 //! same target system at both abstraction levels and comparing cycle-count
-//! metrics; "the average accuracy difference is below 3%" (§4). This module
-//! performs that comparison twice over:
+//! metrics; "the average accuracy difference is below 3%" (§4). A
+//! [`ModelComparison`] performs that comparison for *any pair of
+//! [`crate::model::BusModel`] backends* run on identical stimulus. It
+//! carries two views of the pair:
 //!
-//! * [`AccuracyReport`] is the original Table-1 shape — it pairs two
-//!   [`SimReport`]s produced from identical stimulus and reports the
-//!   relative error of every shared metric, the per-pattern average and
-//!   the derived accuracy percentage.
-//! * [`compare_models`] / [`ModelComparison`] generalize the methodology
-//!   to *any pair of [`BusModel`] backends*: run both on identical
-//!   stimulus, compare every [`Probe`] counter, and report per-counter
-//!   error percentages plus whether the functional results are identical
-//!   ([`Probe::results_match`]). A set of comparisons over the scenario
-//!   catalogue packs into an [`AccuracyBenchRecord`], the payload of the
-//!   `BENCH_accuracy.json` artifact — the accuracy axis of the paper's
-//!   speed/accuracy trade-off, emitted per commit alongside
-//!   `BENCH_speed.json`.
+//! * the Table-1 rows, built from the two [`SimReport`]s: per-master
+//!   completion cycle and average latency, plus bus busy cycles, whose
+//!   mean is the paper's "average difference";
+//! * every [`Probe`] counter side by side, plus whether the functional
+//!   results are identical ([`Probe::results_match`]).
+//!
+//! Both use the one error rule, [`relative_error_pct`]. A set of
+//! comparisons over the scenario catalogue packs into an
+//! [`AccuracyBenchRecord`], the payload of the `BENCH_accuracy.json`
+//! artifact — the accuracy axis of the paper's speed/accuracy trade-off,
+//! emitted per commit alongside `BENCH_speed.json` — whose per-pair
+//! summaries give the Table-1 mean over the compared scenarios.
 
 use std::fmt::Write as _;
 
 use crate::jsonfmt::{escape_json, json_f64};
-use crate::model::{BusModel, Probe, PROBE_FIELDS};
+use crate::model::{Probe, PROBE_FIELDS};
 use crate::report::SimReport;
 
-/// One compared metric.
+/// Relative error of `candidate` against `reference`, in percent — the
+/// paper's `|TL − RTL| / RTL`. A zero reference yields 0% when both agree
+/// and 100% otherwise.
+#[must_use]
+pub fn relative_error_pct(reference: f64, candidate: f64) -> f64 {
+    if reference == 0.0 {
+        if candidate == 0.0 {
+            0.0
+        } else {
+            100.0
+        }
+    } else {
+        ((candidate - reference) / reference * 100.0).abs()
+    }
+}
+
+/// One Table-1 metric compared between two backends.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AccuracyRow {
+pub struct Table1Row {
     /// Metric name, e.g. `"M1 video completion cycle"`.
     pub metric: String,
-    /// Value measured on the pin-accurate reference model.
-    pub rtl: f64,
-    /// Value measured on the transaction-level model.
-    pub tlm: f64,
+    /// Value measured on the reference (more timing-accurate) model.
+    pub reference: f64,
+    /// Value measured on the candidate model.
+    pub candidate: f64,
 }
 
-impl AccuracyRow {
-    /// Relative error of the TLM value against the RTL reference, in
-    /// percent. When the reference is zero the error is zero if both agree
-    /// and 100% otherwise.
+impl Table1Row {
+    /// Relative error of the candidate against the reference, in percent.
     #[must_use]
     pub fn error_pct(&self) -> f64 {
-        if self.rtl == 0.0 {
-            if self.tlm == 0.0 {
-                0.0
-            } else {
-                100.0
-            }
-        } else {
-            ((self.tlm - self.rtl) / self.rtl * 100.0).abs()
-        }
+        relative_error_pct(self.reference, self.candidate)
     }
 }
 
-/// The full accuracy comparison of one traffic pattern.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccuracyReport {
-    /// Label of the traffic pattern the reports were produced under.
-    pub pattern: String,
-    /// Compared metrics.
-    pub rows: Vec<AccuracyRow>,
-}
-
-impl AccuracyReport {
-    /// Builds the comparison for one pattern from an RTL and a TLM report.
-    ///
-    /// The compared metrics mirror what Table 1 tracks: per-master
-    /// completion cycles and average latency, plus total bus busy cycles.
-    #[must_use]
-    pub fn compare(pattern: &str, rtl: &SimReport, tlm: &SimReport) -> Self {
-        let mut rows = Vec::new();
-        for (id, rtl_m) in &rtl.masters {
-            let Some(tlm_m) = tlm.masters.get(id) else {
-                continue;
-            };
-            rows.push(AccuracyRow {
-                metric: format!("{id} {} completion cycle", rtl_m.label),
-                rtl: rtl_m.last_completion_cycle as f64,
-                tlm: tlm_m.last_completion_cycle as f64,
-            });
-            rows.push(AccuracyRow {
-                metric: format!("{id} {} avg latency", rtl_m.label),
-                rtl: rtl_m.avg_latency,
-                tlm: tlm_m.avg_latency,
-            });
-        }
-        rows.push(AccuracyRow {
-            metric: "bus busy cycles".to_owned(),
-            rtl: rtl.bus.busy_cycles as f64,
-            tlm: tlm.bus.busy_cycles as f64,
+/// The Table-1 rows of two reports produced from identical stimulus: for
+/// each master present in both, its completion cycle and average latency,
+/// then the bus busy cycles.
+fn table1_rows(reference: &SimReport, candidate: &SimReport) -> Vec<Table1Row> {
+    let mut rows = Vec::new();
+    for (id, ref_m) in &reference.masters {
+        let Some(cand_m) = candidate.masters.get(id) else {
+            continue;
+        };
+        rows.push(Table1Row {
+            metric: format!("{id} {} completion cycle", ref_m.label),
+            reference: ref_m.last_completion_cycle as f64,
+            candidate: cand_m.last_completion_cycle as f64,
         });
-        AccuracyReport {
-            pattern: pattern.to_owned(),
-            rows,
-        }
+        rows.push(Table1Row {
+            metric: format!("{id} {} avg latency", ref_m.label),
+            reference: ref_m.avg_latency,
+            candidate: cand_m.avg_latency,
+        });
     }
-
-    /// Average relative error over all rows, in percent.
-    #[must_use]
-    pub fn average_error_pct(&self) -> f64 {
-        if self.rows.is_empty() {
-            return 0.0;
-        }
-        self.rows.iter().map(AccuracyRow::error_pct).sum::<f64>() / self.rows.len() as f64
-    }
-
-    /// Accuracy percentage (100 − average error), floored at zero.
-    #[must_use]
-    pub fn accuracy_pct(&self) -> f64 {
-        (100.0 - self.average_error_pct()).max(0.0)
-    }
-
-    /// Largest single-metric error, in percent.
-    #[must_use]
-    pub fn worst_error_pct(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(AccuracyRow::error_pct)
-            .fold(0.0, f64::max)
-    }
-
-    /// Renders one Table-1-shaped block: metric, RTL, TL, difference %.
-    #[must_use]
-    pub fn format_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{}", self.pattern);
-        let _ = writeln!(
-            out,
-            "{:<34} {:>14} {:>14} {:>10}",
-            "metric", "RTL", "TL", "diff %"
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{:<34} {:>14.1} {:>14.1} {:>9.2}%",
-                row.metric,
-                row.rtl,
-                row.tlm,
-                row.error_pct()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:<34} {:>40.2}%",
-            "average difference",
-            self.average_error_pct()
-        );
-        out
-    }
-
-    /// Combines several per-pattern reports into the overall average error.
-    #[must_use]
-    pub fn overall_average_error(reports: &[AccuracyReport]) -> f64 {
-        if reports.is_empty() {
-            return 0.0;
-        }
-        reports
-            .iter()
-            .map(AccuracyReport::average_error_pct)
-            .sum::<f64>()
-            / reports.len() as f64
-    }
+    rows.push(Table1Row {
+        metric: "bus busy cycles".to_owned(),
+        reference: reference.bus.busy_cycles as f64,
+        candidate: candidate.bus.busy_cycles as f64,
+    });
+    rows
 }
 
 /// One observable counter compared between two backends.
@@ -177,24 +102,15 @@ pub struct CounterComparison {
 
 impl CounterComparison {
     /// Relative error of the candidate against the reference, in percent.
-    /// A zero reference yields 0% when both agree and 100% otherwise.
     #[must_use]
     pub fn error_pct(&self) -> f64 {
-        if self.reference == 0 {
-            if self.candidate == 0 {
-                0.0
-            } else {
-                100.0
-            }
-        } else {
-            let reference = self.reference as f64;
-            ((self.candidate as f64 - reference) / reference * 100.0).abs()
-        }
+        relative_error_pct(self.reference as f64, self.candidate as f64)
     }
 }
 
-/// The full accuracy comparison of one backend pair on one scenario:
-/// every probe counter side by side, plus the functional-identity verdict.
+/// The full accuracy comparison of one backend pair on one scenario: the
+/// Table-1 rows and every probe counter side by side, plus the
+/// functional-identity verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelComparison {
     /// Scenario label the two runs were produced under.
@@ -211,19 +127,23 @@ pub struct ModelComparison {
     /// when the comparison was driven in lockstep (`None` = never
     /// diverged, or the runs were only compared at completion).
     pub first_divergence_cycle: Option<u64>,
+    /// The Table-1 rows: for each master present in both reports, its
+    /// completion cycle and average latency, then the bus busy cycles.
+    pub table1: Vec<Table1Row>,
     /// Per-counter comparison rows, in [`PROBE_FIELDS`] order.
     pub counters: Vec<CounterComparison>,
 }
 
 impl ModelComparison {
-    /// Builds the per-counter comparison from two end-of-run probes.
+    /// Builds the comparison from each backend's end-of-run probe and
+    /// report.
     #[must_use]
-    pub fn from_probes(
+    pub fn from_runs(
         scenario: &str,
         reference_name: &str,
         candidate_name: &str,
-        reference: &Probe,
-        candidate: &Probe,
+        (reference, reference_report): (&Probe, &SimReport),
+        (candidate, candidate_report): (&Probe, &SimReport),
     ) -> Self {
         let counters = PROBE_FIELDS
             .iter()
@@ -239,6 +159,7 @@ impl ModelComparison {
             candidate: candidate_name.to_owned(),
             results_match: reference.results_match(candidate),
             first_divergence_cycle: None,
+            table1: table1_rows(reference_report, candidate_report),
             counters,
         }
     }
@@ -274,13 +195,54 @@ impl ModelComparison {
             .map_or(0.0, CounterComparison::error_pct)
     }
 
-    /// Largest error over every compared counter.
+    /// The Table-1 row of one metric, if present.
     #[must_use]
-    pub fn max_counter_error_pct(&self) -> f64 {
-        self.counters
-            .iter()
-            .map(CounterComparison::error_pct)
-            .fold(0.0, f64::max)
+    pub fn table1_row(&self, metric: &str) -> Option<&Table1Row> {
+        self.table1.iter().find(|row| row.metric == metric)
+    }
+
+    /// Mean error over the Table-1 rows, in percent — the paper's
+    /// per-pattern "average difference".
+    #[must_use]
+    pub fn table1_error_pct(&self) -> f64 {
+        if self.table1.is_empty() {
+            return 0.0;
+        }
+        self.table1.iter().map(Table1Row::error_pct).sum::<f64>() / self.table1.len() as f64
+    }
+
+    /// Renders the Table-1 block: metric, reference, candidate,
+    /// difference %, then the average difference.
+    #[must_use]
+    pub fn format_table1(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{} — {} vs {}",
+            self.scenario, self.candidate, self.reference
+        );
+        let _ = writeln!(
+            out,
+            "{:<34} {:>14} {:>14} {:>10}",
+            "metric", self.reference, self.candidate, "diff %"
+        );
+        for row in &self.table1 {
+            let _ = writeln!(
+                out,
+                "{:<34} {:>14.1} {:>14.1} {:>9.2}%",
+                row.metric,
+                row.reference,
+                row.candidate,
+                row.error_pct()
+            );
+        }
+        let _ = writeln!(
+            out,
+            "{:<34} {:>40.2}%",
+            "average difference",
+            self.table1_error_pct()
+        );
+        out
     }
 
     /// Renders the comparison as a table: counter, reference, candidate,
@@ -313,33 +275,6 @@ impl ModelComparison {
     }
 }
 
-/// Runs two backends (already built from identical stimulus) to
-/// completion and compares their end-of-run observable state counter by
-/// counter.
-///
-/// This is the trait-level entry point — it works for any two
-/// [`BusModel`]s and never inspects the concrete types. Drivers that also
-/// want the first divergence *cycle* should advance the models in
-/// lockstep themselves (`ahbplus::run_lockstep`) and attach the horizon
-/// via [`ModelComparison::with_divergence`].
-pub fn compare_models(
-    scenario: &str,
-    reference: &mut dyn BusModel,
-    candidate: &mut dyn BusModel,
-) -> ModelComparison {
-    reference.run_until(simkern::time::Cycle::MAX);
-    candidate.run_until(simkern::time::Cycle::MAX);
-    let reference_name = reference.model_name();
-    let candidate_name = candidate.model_name();
-    ModelComparison::from_probes(
-        scenario,
-        reference_name,
-        candidate_name,
-        &reference.probe(),
-        &candidate.probe(),
-    )
-}
-
 /// The `BENCH_accuracy.json` payload: every pairwise model comparison over
 /// the scenario catalogue, plus per-pair aggregates — the accuracy
 /// counterpart of [`crate::speed::SpeedBenchRecord`].
@@ -369,6 +304,24 @@ pub struct PairSummary {
     pub mean_busy_error_pct: f64,
     /// Worst bus-busy-cycle error over the scenarios, in percent.
     pub max_busy_error_pct: f64,
+    /// Mean Table-1 average difference over the scenarios, in percent —
+    /// the paper's overall figure.
+    pub mean_table1_error_pct: f64,
+    /// Worst Table-1 average difference over the scenarios, in percent.
+    pub max_table1_error_pct: f64,
+}
+
+impl PairSummary {
+    /// The Table-1 overall figure: the mean difference and the accuracy
+    /// it implies (100 − mean, floored at zero), as the paper states it.
+    #[must_use]
+    pub fn format_table1_overall(&self) -> String {
+        format!(
+            "average difference {:.2}%  (accuracy {:.1}%)",
+            self.mean_table1_error_pct,
+            (100.0 - self.mean_table1_error_pct).max(0.0)
+        )
+    }
 }
 
 impl AccuracyBenchRecord {
@@ -383,6 +336,7 @@ impl AccuracyBenchRecord {
                 .find(|s| s.reference == cmp.reference && s.candidate == cmp.candidate);
             let error = cmp.cycle_error_pct();
             let busy = cmp.busy_error_pct();
+            let table1 = cmp.table1_error_pct();
             match entry {
                 Some(summary) => {
                     summary.scenarios += 1;
@@ -391,6 +345,8 @@ impl AccuracyBenchRecord {
                     summary.max_cycle_error_pct = summary.max_cycle_error_pct.max(error);
                     summary.mean_busy_error_pct += busy;
                     summary.max_busy_error_pct = summary.max_busy_error_pct.max(busy);
+                    summary.mean_table1_error_pct += table1;
+                    summary.max_table1_error_pct = summary.max_table1_error_pct.max(table1);
                 }
                 None => out.push(PairSummary {
                     reference: cmp.reference.clone(),
@@ -401,12 +357,15 @@ impl AccuracyBenchRecord {
                     max_cycle_error_pct: error,
                     mean_busy_error_pct: busy,
                     max_busy_error_pct: busy,
+                    mean_table1_error_pct: table1,
+                    max_table1_error_pct: table1,
                 }),
             }
         }
         for summary in &mut out {
             summary.mean_cycle_error_pct /= summary.scenarios as f64;
             summary.mean_busy_error_pct /= summary.scenarios as f64;
+            summary.mean_table1_error_pct /= summary.scenarios as f64;
         }
         out
     }
@@ -440,7 +399,8 @@ impl AccuracyBenchRecord {
                 "    {{\"reference\": \"{}\", \"candidate\": \"{}\", \"scenarios\": {}, \
                  \"results_match_all\": {}, \"mean_cycle_error_pct\": {}, \
                  \"max_cycle_error_pct\": {}, \"mean_busy_error_pct\": {}, \
-                 \"max_busy_error_pct\": {}}}{comma}",
+                 \"max_busy_error_pct\": {}, \"mean_table1_error_pct\": {}, \
+                 \"max_table1_error_pct\": {}}}{comma}",
                 escape_json(&s.reference),
                 escape_json(&s.candidate),
                 s.scenarios,
@@ -448,7 +408,9 @@ impl AccuracyBenchRecord {
                 json_f64(s.mean_cycle_error_pct),
                 json_f64(s.max_cycle_error_pct),
                 json_f64(s.mean_busy_error_pct),
-                json_f64(s.max_busy_error_pct)
+                json_f64(s.max_busy_error_pct),
+                json_f64(s.mean_table1_error_pct),
+                json_f64(s.max_table1_error_pct)
             );
         }
         let _ = writeln!(out, "  ],");
@@ -486,6 +448,11 @@ impl AccuracyBenchRecord {
                 out,
                 "      \"cycle_error_pct\": {},",
                 json_f64(cmp.cycle_error_pct())
+            );
+            let _ = writeln!(
+                out,
+                "      \"table1_error_pct\": {},",
+                json_f64(cmp.table1_error_pct())
             );
             let _ = writeln!(out, "      \"diverging_counters\": [");
             let diverging: Vec<&CounterComparison> = cmp
@@ -549,82 +516,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn identical_reports_give_perfect_accuracy() {
-        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 25.0, 6_000);
-        let tlm = report(ModelKind::TransactionLevel, 10_000, 25.0, 6_000);
-        let cmp = AccuracyReport::compare("pattern A", &rtl, &tlm);
-        assert_eq!(cmp.average_error_pct(), 0.0);
-        assert_eq!(cmp.accuracy_pct(), 100.0);
-        assert_eq!(cmp.worst_error_pct(), 0.0);
-    }
-
-    #[test]
-    fn three_percent_difference_is_reported_as_such() {
-        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 100.0, 6_000);
-        let tlm = report(ModelKind::TransactionLevel, 10_300, 103.0, 6_180);
-        let cmp = AccuracyReport::compare("pattern A", &rtl, &tlm);
-        assert!((cmp.average_error_pct() - 3.0).abs() < 1e-9);
-        assert!((cmp.accuracy_pct() - 97.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn error_direction_does_not_matter() {
-        let row = AccuracyRow {
-            metric: "x".into(),
-            rtl: 100.0,
-            tlm: 90.0,
-        };
-        assert!((row.error_pct() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_reference_handling() {
-        let zero_zero = AccuracyRow {
-            metric: "x".into(),
-            rtl: 0.0,
-            tlm: 0.0,
-        };
-        assert_eq!(zero_zero.error_pct(), 0.0);
-        let zero_some = AccuracyRow {
-            metric: "x".into(),
-            rtl: 0.0,
-            tlm: 5.0,
-        };
-        assert_eq!(zero_some.error_pct(), 100.0);
-    }
-
-    #[test]
-    fn table_rendering_contains_all_rows() {
-        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 25.0, 6_000);
-        let tlm = report(ModelKind::TransactionLevel, 10_100, 26.0, 6_100);
-        let cmp = AccuracyReport::compare("pattern B", &rtl, &tlm);
-        let table = cmp.format_table();
-        assert!(table.contains("pattern B"));
-        assert!(table.contains("completion cycle"));
-        assert!(table.contains("avg latency"));
-        assert!(table.contains("bus busy cycles"));
-        assert!(table.contains("average difference"));
-    }
-
-    #[test]
-    fn overall_average_combines_patterns() {
-        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 100.0, 6_000);
-        let exact = AccuracyReport::compare(
-            "a",
-            &rtl,
-            &report(ModelKind::TransactionLevel, 10_000, 100.0, 6_000),
-        );
-        let off = AccuracyReport::compare(
-            "b",
-            &rtl,
-            &report(ModelKind::TransactionLevel, 10_400, 104.0, 6_240),
-        );
-        let overall = AccuracyReport::overall_average_error(&[exact, off]);
-        assert!((overall - 2.0).abs() < 1e-9);
-        assert_eq!(AccuracyReport::overall_average_error(&[]), 0.0);
-    }
-
     fn probe(cycle: u64, transactions: u64, busy: u64) -> Probe {
         Probe {
             cycle,
@@ -634,6 +525,61 @@ mod tests {
             busy_cycles: busy,
             ..Probe::default()
         }
+    }
+
+    /// Compares two reports under identical probes: only the Table-1 rows
+    /// can differ.
+    fn table1(scenario: &str, reference: &SimReport, candidate: &SimReport) -> ModelComparison {
+        let p = probe(10_000, 100, 6_000);
+        ModelComparison::from_runs(scenario, "rtl", "tlm", (&p, reference), (&p, candidate))
+    }
+
+    /// Compares two probes under identical reports: only the counters can
+    /// differ.
+    fn counters(scenario: &str, candidate: &str, a: &Probe, b: &Probe) -> ModelComparison {
+        let r = report(ModelKind::TransactionLevel, 10_000, 25.0, 6_000);
+        ModelComparison::from_runs(scenario, "rtl", candidate, (a, &r), (b, &r))
+    }
+
+    #[test]
+    fn identical_reports_give_perfect_accuracy() {
+        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 25.0, 6_000);
+        let tlm = report(ModelKind::TransactionLevel, 10_000, 25.0, 6_000);
+        let cmp = table1("pattern A", &rtl, &tlm);
+        assert_eq!(cmp.table1.len(), 3);
+        assert_eq!(cmp.table1_error_pct(), 0.0);
+        assert!(cmp.table1.iter().all(|row| row.error_pct() == 0.0));
+    }
+
+    #[test]
+    fn three_percent_difference_is_reported_as_such() {
+        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 100.0, 6_000);
+        let tlm = report(ModelKind::TransactionLevel, 10_300, 103.0, 6_180);
+        let record = AccuracyBenchRecord {
+            comparisons: vec![table1("pattern A", &rtl, &tlm)],
+        };
+        assert!((record.comparisons[0].table1_error_pct() - 3.0).abs() < 1e-9);
+        let overall = record.summaries()[0].format_table1_overall();
+        assert_eq!(overall, "average difference 3.00%  (accuracy 97.0%)");
+    }
+
+    #[test]
+    fn error_direction_does_not_matter() {
+        assert!((relative_error_pct(100.0, 90.0) - 10.0).abs() < 1e-9);
+        assert!((relative_error_pct(100.0, 110.0) - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_reference_handling() {
+        assert_eq!(relative_error_pct(0.0, 0.0), 0.0);
+        assert_eq!(relative_error_pct(0.0, 5.0), 100.0);
+        assert!((relative_error_pct(200.0, 190.0) - 5.0).abs() < 1e-9);
+        let zero_row = Table1Row {
+            metric: "x".into(),
+            reference: 0.0,
+            candidate: 0.0,
+        };
+        assert_eq!(zero_row.error_pct(), 0.0);
     }
 
     #[test]
@@ -659,14 +605,48 @@ mod tests {
     }
 
     #[test]
+    fn table_rendering_contains_all_rows() {
+        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 25.0, 6_000);
+        let tlm = report(ModelKind::TransactionLevel, 10_100, 26.0, 6_100);
+        let table = table1("pattern B", &rtl, &tlm).format_table1();
+        assert!(table.contains("pattern B — tlm vs rtl"));
+        assert!(table.contains("completion cycle"));
+        assert!(table.contains("avg latency"));
+        assert!(table.contains("bus busy cycles"));
+        assert!(table.contains("average difference"));
+    }
+
+    #[test]
+    fn overall_average_combines_patterns() {
+        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 100.0, 6_000);
+        let exact = table1(
+            "a",
+            &rtl,
+            &report(ModelKind::TransactionLevel, 10_000, 100.0, 6_000),
+        );
+        let off = table1(
+            "b",
+            &rtl,
+            &report(ModelKind::TransactionLevel, 10_400, 104.0, 6_240),
+        );
+        let record = AccuracyBenchRecord {
+            comparisons: vec![exact, off],
+        };
+        let summaries = record.summaries();
+        assert_eq!(summaries.len(), 1);
+        assert!((summaries[0].mean_table1_error_pct - 2.0).abs() < 1e-9);
+        assert!((summaries[0].max_table1_error_pct - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
     fn model_comparison_covers_every_probe_field() {
         let a = probe(1_000, 40, 700);
         let b = probe(1_050, 40, 690);
-        let cmp = ModelComparison::from_probes("s", "tlm", "lt", &a, &b);
+        let cmp = counters("s", "lt", &a, &b);
         assert_eq!(cmp.counters.len(), crate::model::PROBE_FIELDS.len());
         assert!(cmp.results_match, "identical work is a results match");
         assert!((cmp.cycle_error_pct() - 5.0).abs() < 1e-9);
-        assert!(cmp.max_counter_error_pct() >= cmp.cycle_error_pct());
+        assert!(cmp.busy_error_pct() > 0.0);
         let table = cmp.format_table();
         assert!(table.contains("cycle"));
         assert!(table.contains("busy_cycles"));
@@ -677,7 +657,7 @@ mod tests {
     fn lost_work_breaks_the_results_match() {
         let a = probe(1_000, 40, 700);
         let b = probe(1_000, 39, 700);
-        let cmp = ModelComparison::from_probes("s", "tlm", "lt", &a, &b);
+        let cmp = counters("s", "lt", &a, &b);
         assert!(!cmp.results_match);
         assert!(cmp.counter("transactions").unwrap().error_pct() > 0.0);
     }
@@ -687,12 +667,14 @@ mod tests {
         let reference = probe(10_000, 100, 6_000);
         let close = probe(10_200, 100, 6_100);
         let exact = probe(10_000, 100, 6_000);
+        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 100.0, 6_000);
+        let off = report(ModelKind::LooselyTimed, 10_600, 106.0, 6_360);
         let record = AccuracyBenchRecord {
             comparisons: vec![
-                ModelComparison::from_probes("a", "rtl", "lt", &reference, &close)
+                ModelComparison::from_runs("a", "rtl", "lt", (&reference, &rtl), (&close, &off))
                     .with_divergence(Some(512)),
-                ModelComparison::from_probes("b", "rtl", "lt", &reference, &exact),
-                ModelComparison::from_probes("a", "rtl", "tlm", &reference, &exact),
+                counters("b", "lt", &reference, &exact),
+                counters("a", "tlm", &reference, &exact),
             ],
         };
         assert!(record.all_results_match());
@@ -704,11 +686,16 @@ mod tests {
         assert!(lt.results_match_all);
         assert!((lt.mean_cycle_error_pct - 1.0).abs() < 1e-9);
         assert!((lt.max_cycle_error_pct - 2.0).abs() < 1e-9);
+        assert!((lt.mean_table1_error_pct - 3.0).abs() < 1e-9);
+        assert!((lt.max_table1_error_pct - 6.0).abs() < 1e-9);
         let json = record.to_json();
         assert!(json.contains("\"schema\": \"ahbplus-bench-accuracy/v1\""));
         assert!(json.contains("\"all_results_match\": true"));
         assert!(json.contains("\"first_divergence_cycle\": 512"));
         assert!(json.contains("\"candidate\": \"lt\""));
+        assert!(json.contains("\"table1_error_pct\": 6"));
+        assert!(json.contains("\"mean_table1_error_pct\": 3"));
+        assert!(json.contains("\"max_table1_error_pct\": 6"));
         // Counters that agree are implied by absence.
         assert!(!json.contains("\"counter\": \"transactions\""));
         assert!(json.contains("\"counter\": \"cycle\""));
@@ -728,7 +715,8 @@ mod tests {
         let rtl = report(ModelKind::PinAccurateRtl, 10_000, 25.0, 6_000);
         let mut tlm = report(ModelKind::TransactionLevel, 10_000, 25.0, 6_000);
         tlm.masters.clear();
-        let cmp = AccuracyReport::compare("pattern", &rtl, &tlm);
-        assert_eq!(cmp.rows.len(), 1, "only the bus-level row remains");
+        let cmp = table1("pattern", &rtl, &tlm);
+        assert_eq!(cmp.table1.len(), 1, "only the bus-level row remains");
+        assert!(cmp.table1_row("bus busy cycles").is_some());
     }
 }

@@ -15,9 +15,10 @@
 //!   together with the backend's [`model::Probe`].
 //! * [`report`] — the per-run [`report::SimReport`] with per-master and
 //!   bus-level metrics, plus wall-clock speed accounting.
-//! * [`accuracy`] — pairs two reports produced from the same stimulus and
-//!   computes per-metric relative errors and the average accuracy, printing
-//!   a Table-1-shaped table.
+//! * [`accuracy`] — compares two backends run on the same stimulus: the
+//!   Table-1 rows from their reports (per-metric relative errors and their
+//!   average) and every probe counter, packed per scenario into the
+//!   `BENCH_accuracy.json` record.
 //! * [`speed`] — pairs the wall-clock throughput of the two runs into the
 //!   Kcycles/s + speedup summary of §4.
 //! * [`trace`] — the structured event-tracing subsystem: deterministic
@@ -77,10 +78,7 @@ pub mod speed;
 pub mod trace;
 pub mod tracebin;
 
-pub use accuracy::{
-    compare_models, AccuracyBenchRecord, AccuracyReport, AccuracyRow, CounterComparison,
-    ModelComparison,
-};
+pub use accuracy::{AccuracyBenchRecord, CounterComparison, ModelComparison};
 pub use campaign::{CampaignBenchRecord, CampaignPointRecord, CampaignSessionRecord, PointStatus};
 pub use canon::{content_hash, content_hash_hex, CanonError, CanonValue};
 pub use model::{BusModel, Probe, PROBE_FIELDS};

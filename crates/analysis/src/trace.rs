@@ -14,10 +14,11 @@
 //! every record method begins with one predictable branch on
 //! [`Tracer::is_enabled`] and returns immediately, so an untraced hot
 //! loop pays a single never-taken branch per instrumentation seam. The
-//! speed harness measures the enabled-vs-disabled delta per model and
-//! records it as `trace_overhead_pct` in `BENCH_speed.json` — an upper
-//! bound on the disabled-path cost, since the disabled path is a strict
-//! subset of the enabled one.
+//! speed harness records `trace_overhead_pct` per model in
+//! `BENCH_speed.json`: the smallest paired enabled-vs-disabled overhead
+//! over its repetitions. That is the cost of tracing *enabled*, and the
+//! minimum of N noisy ratios is biased toward zero, so it neither
+//! measures nor bounds what the seams cost when tracing is off.
 //!
 //! A finished model hands its buffered events back as a [`TraceLog`]
 //! (via `BusModel::take_trace`). Multi-shard platforms merge per-shard

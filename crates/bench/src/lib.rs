@@ -2,7 +2,12 @@
 //! figure of the paper's evaluation.
 //!
 //! * `cargo run --release -p ahbplus-bench --bin table1_accuracy` — Table 1:
-//!   per-pattern RTL-vs-TLM cycle-count comparison.
+//!   per-pattern RTL-vs-TLM cycle-count comparison, then the same table for
+//!   RTL vs LT. Each block is the Table-1 view of an
+//!   `ahbplus::compare_pair_on` comparison, the one accuracy surface.
+//! * `cargo run --release -p ahbplus-bench --bin model_accuracy` — the same
+//!   comparison for every registered backend pair over the scenario
+//!   catalogue (`BENCH_accuracy.json`).
 //! * `cargo run --release -p ahbplus-bench --bin table2_speed` — the §4
 //!   simulation-speed comparison (Kcycles/s and speed-up).
 //! * `cargo bench -p ahbplus-bench` — criterion benchmarks: `accuracy`

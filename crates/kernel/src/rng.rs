@@ -82,11 +82,6 @@ impl SimRng {
         result
     }
 
-    /// Returns the next 32-bit value.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Returns a value uniformly distributed in `[low, high)`.
     ///
     /// # Panics
@@ -110,15 +105,6 @@ impl SimRng {
             }
         }
         low + (m >> 64) as u64
-    }
-
-    /// Returns a value uniformly distributed in `[low, high)` as `usize`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low >= high`.
-    pub fn range_usize(&mut self, low: usize, high: usize) -> usize {
-        self.range_u64(low as u64, high as u64) as usize
     }
 
     /// Returns `true` with probability `permille / 1000`.

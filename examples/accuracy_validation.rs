@@ -15,7 +15,9 @@
 //! cargo run --release -p ahbplus-repro --example accuracy_validation
 //! ```
 
-use ahbplus::{run_lockstep, run_lockstep_traced, scenario, AccuracyReport};
+use ahbplus::{
+    run_lockstep, run_lockstep_traced, scenario, AccuracyBenchRecord, BusModel, ModelComparison,
+};
 use simkern::time::CycleDelta;
 
 fn main() {
@@ -24,7 +26,7 @@ fn main() {
     // full-length version. The table2 speed workload rides along so the
     // co-simulation also covers the §4 configuration.
     let workloads = ["table1-a", "table1-b", "table1-c", "table2-speed"];
-    let mut errors = Vec::new();
+    let mut record = AccuracyBenchRecord::default();
     for name in workloads {
         let spec = scenario(name).expect("catalogued workload");
         let config = spec.resolve().expect("workload resolves");
@@ -58,9 +60,15 @@ fn main() {
             "end-of-run results identical (txns/bytes/beats/assertions): {}",
             if outcome.results_match { "yes" } else { "NO" }
         );
-        let accuracy = AccuracyReport::compare(config.pattern.name, &outcome.a, &outcome.b);
-        errors.push(accuracy.average_error_pct());
-        println!("{}", accuracy.format_table());
+        let comparison = ModelComparison::from_runs(
+            name,
+            rtl.model_name(),
+            tlm.model_name(),
+            (&rtl.probe(), &outcome.a),
+            (&tlm.probe(), &outcome.b),
+        );
+        println!("{}", comparison.format_table1());
+        record.comparisons.push(comparison);
         assert!(
             outcome.results_match,
             "{name}: both models must complete the same work"
@@ -87,12 +95,7 @@ fn main() {
             "{name}: the loosely-timed model must complete the same work"
         );
     }
-    let average = errors.iter().sum::<f64>() / errors.len() as f64;
-    println!(
-        "overall: average difference {:.2}%  (accuracy {:.1}%)",
-        average,
-        (100.0 - average).max(0.0)
-    );
+    println!("overall: {}", record.summaries()[0].format_table1_overall());
     println!(
         "paper reference: average difference below 3% (97% accuracy) on the\n\
          authors' proprietary platform; see EXPERIMENTS.md for the discussion\n\

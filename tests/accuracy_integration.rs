@@ -1,27 +1,23 @@
 //! Accuracy integration tests: the transaction-level model must track the
 //! pin-accurate reference on identical stimulus (the Table-1 experiment).
 
-use ahbplus::validation::{validate_pattern, validate_table1};
-use ahbplus::{scenario, AhbPlusParams};
-use analysis::AccuracyReport;
-use traffic::{pattern_a, pattern_b};
+use ahbplus::{compare_pair_on, lookup, scenario, table1_record, AhbPlusParams, ModelSpec};
+
+fn model(id: &str) -> &'static ModelSpec {
+    lookup(id).expect("registered")
+}
 
 /// Total bus work (busy cycles) must agree closely on every pattern — this
 /// is the metric least sensitive to how contention is attributed.
 #[test]
 fn bus_busy_cycles_agree_within_five_percent() {
-    let table = validate_table1(150, 7);
-    for validation in &table.patterns {
-        let busy = validation
-            .accuracy
-            .rows
-            .iter()
-            .find(|r| r.metric == "bus busy cycles")
-            .expect("busy row");
+    let record = table1_record(model("tlm"), 150, 7);
+    for comparison in &record.comparisons {
+        let busy = comparison.table1_row("bus busy cycles").expect("busy row");
         assert!(
             busy.error_pct() < 5.0,
             "{}: busy-cycle error {:.2}%",
-            validation.accuracy.pattern,
+            comparison.scenario,
             busy.error_pct()
         );
     }
@@ -31,11 +27,14 @@ fn bus_busy_cycles_agree_within_five_percent() {
 /// end of the simulation; both models must agree on it almost exactly.
 #[test]
 fn video_completion_cycle_matches_almost_exactly() {
-    for pattern in [pattern_a(), pattern_b()] {
-        let validation = validate_pattern(pattern, 150, 3);
-        let row = validation
-            .accuracy
-            .rows
+    for name in ["table1-a", "table1-b"] {
+        let spec = scenario(name)
+            .expect("catalogued")
+            .with_transactions(150)
+            .with_seed(3);
+        let comparison = compare_pair_on(&spec, model("rtl"), model("tlm"));
+        let row = comparison
+            .table1
             .iter()
             .find(|r| r.metric.contains("video completion"))
             .expect("video completion row");
@@ -55,20 +54,16 @@ fn video_completion_cycle_matches_almost_exactly() {
 fn non_pipelined_configuration_matches_within_five_percent() {
     // The catalogued Table-1 scenario (same pattern and seed) with the
     // pipelining ablation applied as a spec variant.
-    let config = scenario("table1-a")
+    let spec = scenario("table1-a")
         .expect("catalogued")
         .with_transactions(200)
-        .with_params(AhbPlusParams::ahb_plus().with_request_pipelining(false))
-        .resolve()
-        .expect("resolvable");
-    let rtl = config.run_rtl();
-    let tlm = config.run_tlm();
-    let accuracy = AccuracyReport::compare("pattern A, no pipelining", &rtl, &tlm);
+        .with_params(AhbPlusParams::ahb_plus().with_request_pipelining(false));
+    let comparison = compare_pair_on(&spec, model("rtl"), model("tlm"));
     assert!(
-        accuracy.average_error_pct() < 5.0,
+        comparison.table1_error_pct() < 5.0,
         "average error {:.2}%\n{}",
-        accuracy.average_error_pct(),
-        accuracy.format_table()
+        comparison.table1_error_pct(),
+        comparison.format_table1()
     );
 }
 
@@ -77,12 +72,16 @@ fn non_pipelined_configuration_matches_within_five_percent() {
 /// write-buffer dynamics diverge more — see EXPERIMENTS.md).
 #[test]
 fn full_configuration_average_error_is_bounded() {
-    let table = validate_table1(150, 7);
-    let error = table.average_error_pct();
+    let record = table1_record(model("tlm"), 150, 7);
+    let error = record.summaries()[0].mean_table1_error_pct;
     assert!(
         error < 30.0,
         "overall average error {error:.2}%\n{}",
-        table.format_table()
+        record
+            .comparisons
+            .iter()
+            .map(ahbplus::ModelComparison::format_table1)
+            .collect::<String>()
     );
 }
 
@@ -90,9 +89,15 @@ fn full_configuration_average_error_is_bounded() {
 /// counts per master.
 #[test]
 fn stimulus_is_identical_across_models() {
-    let validation = validate_pattern(pattern_a(), 100, 19);
-    for (id, rtl_m) in &validation.rtl.masters {
-        let tlm_m = &validation.tlm.masters[id];
+    let config = scenario("table1-a")
+        .expect("catalogued")
+        .with_transactions(100)
+        .with_seed(19)
+        .resolve()
+        .expect("resolvable");
+    let (rtl, tlm) = (config.run_rtl(), config.run_tlm());
+    for (id, rtl_m) in &rtl.masters {
+        let tlm_m = &tlm.masters[id];
         assert_eq!(rtl_m.completed, tlm_m.completed, "{id} transaction count");
         assert_eq!(rtl_m.bytes, tlm_m.bytes, "{id} byte count");
     }

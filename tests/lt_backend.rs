@@ -3,8 +3,10 @@
 //! stepping determinism, and the documented timing-error bound.
 
 use ahb_lt::LT_TIMING_ERROR_BOUND_PCT;
-use ahbplus::{run_lockstep, PlatformConfig};
-use analysis::{compare_models, BusModel, ModelKind};
+use ahbplus::{
+    compare_pair_on, lookup, run_lockstep, ModelComparison, PlatformConfig, ScenarioSpec,
+};
+use analysis::{BusModel, ModelKind};
 use proptest::prelude::*;
 use simkern::time::CycleDelta;
 use traffic::pattern_registry;
@@ -12,6 +14,12 @@ use traffic::pattern_registry;
 /// Workload length for the registry sweep — small enough for debug-mode
 /// test runs, long enough to exercise the write buffer and row sketch.
 const SWEEP_TRANSACTIONS: usize = 60;
+
+/// Compares `tlm` (reference) against `lt` on a registered pattern.
+fn tlm_vs_lt(pattern: &str, transactions: usize, seed: u64) -> ModelComparison {
+    let spec = ScenarioSpec::new(pattern, pattern, transactions, seed);
+    compare_pair_on(&spec, lookup("tlm").unwrap(), lookup("lt").unwrap())
+}
 
 #[test]
 fn lt_and_tlm_produce_identical_results_on_every_registered_pattern() {
@@ -48,12 +56,9 @@ fn lt_and_tlm_produce_identical_results_on_every_registered_pattern() {
 
 #[test]
 fn lt_timing_error_stays_within_the_documented_bound() {
-    for (key, build) in pattern_registry() {
+    for (key, _) in pattern_registry() {
         for seed in [3u64, 7, 21] {
-            let config = PlatformConfig::new(build(), SWEEP_TRANSACTIONS, seed);
-            let mut tlm = config.build_tlm();
-            let mut lt = config.build_lt();
-            let comparison = compare_models(key, &mut tlm, &mut lt);
+            let comparison = tlm_vs_lt(key, SWEEP_TRANSACTIONS, seed);
             let error = comparison.cycle_error_pct();
             let busy = comparison.counter("busy_cycles").unwrap();
             println!(
@@ -116,10 +121,7 @@ proptest! {
         transactions in 20usize..80,
         seed in 0u64..1_000,
     ) {
-        let config = PlatformConfig::new(traffic::pattern_a(), transactions, seed);
-        let mut tlm = config.build_tlm();
-        let mut lt = config.build_lt();
-        let comparison = compare_models("prop", &mut tlm, &mut lt);
+        let comparison = tlm_vs_lt("a", transactions, seed);
         prop_assert!(comparison.results_match);
         prop_assert!(
             comparison.cycle_error_pct() <= LT_TIMING_ERROR_BOUND_PCT,
