@@ -1,39 +1,22 @@
 //! The cycle-level AHB+ arbiter.
 //!
 //! Samples the `HBUSREQ` wires (plus the write buffer's internal request)
-//! every clock cycle, keeps a per-master waited counter for the QoS urgency
-//! filter, and runs the exact same
-//! [`amba::arbitration::ArbitrationPolicy`] chain as the transaction-level
-//! arbiter. The decision is driven onto the registered `HGRANT` signal by
-//! the system; this block is purely combinational plus the waited counters.
+//! every clock cycle into a [`SampledRequests`] buffer the system keeps,
+//! and runs the exact same [`amba::arbitration::ArbitrationPolicy`] chain
+//! as the transaction-level arbiter; the waited counters are the sampled
+//! request times. The decision is driven onto the registered `HGRANT`
+//! signal by the system; this block is purely combinational.
 
-use amba::arbitration::{ArbiterConfig, ArbitrationPolicy, Decision, RequestView};
-use amba::ids::{Addr, MasterId};
-use amba::qos::{QosConfig, QosRegisterFile};
+use amba::arbitration::{ArbiterConfig, ArbitrationPolicy, Decision, SampledRequests};
+use amba::ids::MasterId;
+use amba::qos::QosConfig;
 use ddrc::DdrController;
 use simkern::time::Cycle;
-
-/// One per-cycle candidate as sampled from the wires.
-#[derive(Debug, Clone, Copy)]
-pub struct SampledRequest {
-    /// Requesting master.
-    pub master: MasterId,
-    /// Cycle the request was first asserted.
-    pub requested_at: Cycle,
-    /// Start address of the transaction the master wants to issue (from the
-    /// AHB+ sideband), used for the bank-affinity filter and the BI hint.
-    pub addr: Addr,
-    /// Whether this is the write buffer's own request.
-    pub is_write_buffer: bool,
-    /// Write-buffer occupancy (only meaningful for its own request).
-    pub write_buffer_fill: usize,
-}
 
 /// The cycle-level arbiter block.
 #[derive(Debug, Clone)]
 pub struct RtlArbiter {
     policy: ArbitrationPolicy,
-    qos: QosRegisterFile,
     bank_affinity_from_bi: bool,
     grants: u64,
 }
@@ -44,15 +27,21 @@ impl RtlArbiter {
     pub fn new(config: ArbiterConfig, bank_affinity_from_bi: bool) -> Self {
         RtlArbiter {
             policy: ArbitrationPolicy::new(config),
-            qos: QosRegisterFile::new(),
             bank_affinity_from_bi,
             grants: 0,
         }
     }
 
-    /// Programs the QoS registers of a master.
+    /// Programs the QoS registers of a master (every sampled requester
+    /// must be programmed; see [`ArbitrationPolicy::program_qos`]).
     pub fn program_qos(&mut self, master: MasterId, qos: QosConfig) {
-        self.qos.program(master, qos);
+        self.policy.program_qos(master, qos);
+    }
+
+    /// The arbitration slot a programmed master's request is sampled into.
+    #[must_use]
+    pub fn slot(&self, master: MasterId) -> Option<usize> {
+        self.policy.slot(master)
     }
 
     /// Number of grants issued so far.
@@ -61,30 +50,18 @@ impl RtlArbiter {
         self.grants
     }
 
-    /// Runs the filter chain over the sampled requests.
+    /// Runs the filter chain over the requests sampled at `now`, with bank
+    /// readiness read from `ddr` when the BI feedback is on.
     #[must_use]
     pub fn decide(
         &self,
         now: Cycle,
-        sampled: &[SampledRequest],
+        sampled: &SampledRequests,
         ddr: &DdrController,
     ) -> Option<Decision> {
-        let views: Vec<RequestView> = sampled
-            .iter()
-            .map(|request| {
-                let mut view = RequestView::new(
-                    request.master,
-                    self.qos.lookup(request.master),
-                    now.saturating_since(request.requested_at).value(),
-                );
-                view.is_write_buffer = request.is_write_buffer;
-                view.write_buffer_fill = request.write_buffer_fill;
-                view.bank_ready =
-                    self.bank_affinity_from_bi && ddr.is_addr_ready(now, request.addr);
-                view
-            })
-            .collect();
-        self.policy.decide(&views)
+        let bank_feedback = self.bank_affinity_from_bi;
+        self.policy
+            .decide(&sampled.at(now, |addr| bank_feedback && ddr.is_addr_ready(now, addr)))
     }
 
     /// Commits a grant (advances the round-robin pointer).
@@ -97,23 +74,26 @@ impl RtlArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amba::ids::Addr;
     use ddrc::DdrConfig;
 
-    fn sampled(master: u8, requested_at: u64, addr: u32) -> SampledRequest {
-        SampledRequest {
-            master: MasterId::new(master),
-            requested_at: Cycle::new(requested_at),
-            addr: Addr::new(addr),
-            is_write_buffer: false,
-            write_buffer_fill: 0,
+    /// Samples `(master, requested_at, addr)` requests into a buffer.
+    fn sampled(arbiter: &RtlArbiter, requests: &[(u8, u64, u32)]) -> SampledRequests {
+        let mut sampled = SampledRequests::new();
+        for &(master, requested_at, addr) in requests {
+            let slot = arbiter.slot(MasterId::new(master)).expect("programmed");
+            sampled.push(slot, Cycle::new(requested_at), Addr::new(addr));
         }
+        sampled
     }
 
     #[test]
     fn empty_sample_set_gives_no_grant() {
         let arbiter = RtlArbiter::new(ArbiterConfig::ahb_plus(), true);
         let ddr = DdrController::new(DdrConfig::ahb_plus());
-        assert!(arbiter.decide(Cycle::new(0), &[], &ddr).is_none());
+        assert!(arbiter
+            .decide(Cycle::new(0), &SampledRequests::new(), &ddr)
+            .is_none());
     }
 
     #[test]
@@ -122,13 +102,8 @@ mod tests {
         let ddr = DdrController::new(DdrConfig::ahb_plus());
         arbiter.program_qos(MasterId::new(0), QosConfig::non_real_time(0));
         arbiter.program_qos(MasterId::new(1), QosConfig::real_time(300, 7));
-        let decision = arbiter
-            .decide(
-                Cycle::new(5),
-                &[sampled(0, 0, 0x2000_0000), sampled(1, 0, 0x2000_0800)],
-                &ddr,
-            )
-            .unwrap();
+        let requests = sampled(&arbiter, &[(0, 0, 0x2000_0000), (1, 0, 0x2000_0800)]);
+        let decision = arbiter.decide(Cycle::new(5), &requests, &ddr).unwrap();
         assert_eq!(decision.master, MasterId::new(1));
     }
 
@@ -140,13 +115,8 @@ mod tests {
         arbiter.program_qos(MasterId::new(1), QosConfig::real_time(100, 7));
         // Master 1 has been waiting 90 of its 100-cycle budget; master 0 has
         // barely waited. Urgency must override the better fixed priority.
-        let decision = arbiter
-            .decide(
-                Cycle::new(100),
-                &[sampled(0, 99, 0x2000_0000), sampled(1, 10, 0x2000_0800)],
-                &ddr,
-            )
-            .unwrap();
+        let requests = sampled(&arbiter, &[(0, 99, 0x2000_0000), (1, 10, 0x2000_0800)]);
+        let decision = arbiter.decide(Cycle::new(100), &requests, &ddr).unwrap();
         assert_eq!(decision.master, MasterId::new(1));
     }
 
@@ -156,7 +126,7 @@ mod tests {
         let ddr = DdrController::new(DdrConfig::ahb_plus());
         arbiter.program_qos(MasterId::new(0), QosConfig::non_real_time(4));
         arbiter.program_qos(MasterId::new(1), QosConfig::non_real_time(4));
-        let requests = [sampled(0, 0, 0x2000_0000), sampled(1, 0, 0x2000_0000)];
+        let requests = sampled(&arbiter, &[(0, 0, 0x2000_0000), (1, 0, 0x2000_0000)]);
         let first = arbiter.decide(Cycle::new(0), &requests, &ddr).unwrap();
         arbiter.record_grant(first.master);
         let second = arbiter.decide(Cycle::new(0), &requests, &ddr).unwrap();

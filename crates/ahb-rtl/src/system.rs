@@ -14,6 +14,7 @@
 
 use std::time::Instant;
 
+use amba::arbitration::SampledRequests;
 use amba::check::ProtocolChecker;
 use amba::ids::MasterId;
 use amba::qos::QosConfig;
@@ -29,7 +30,7 @@ use simkern::component::Clocked;
 use simkern::time::{Cycle, CycleDelta};
 use traffic::{TrafficPattern, TrafficTrace};
 
-use crate::arbiter::{RtlArbiter, SampledRequest};
+use crate::arbiter::RtlArbiter;
 use crate::config::RtlConfig;
 use crate::ddr_slave::DdrSlave;
 use crate::master::RtlMaster;
@@ -60,6 +61,11 @@ pub struct RtlSystem {
     pins: Vec<MasterPins>,
     shared: SharedPins,
     arbiter: RtlArbiter,
+    /// The request wires as sampled this cycle (reused every cycle).
+    sampled: SampledRequests,
+    /// Arbitration slot by master position, and the write buffer's.
+    slots: Vec<usize>,
+    write_buffer_slot: usize,
     write_buffer: RtlWriteBuffer,
     slave: DdrSlave,
     checker: ProtocolChecker,
@@ -106,6 +112,9 @@ impl RtlSystem {
             bfms.push(bfm);
         }
         arbiter.program_qos(RTL_WRITE_BUFFER_MASTER, QosConfig::non_real_time(u8::MAX));
+        let slot_of = |id: MasterId| arbiter.slot(id).expect("every requester is programmed");
+        let slots = bfms.iter().map(|bfm| slot_of(bfm.id())).collect();
+        let write_buffer_slot = slot_of(RTL_WRITE_BUFFER_MASTER);
         let pins = (0..=bfms.len()).map(|_| MasterPins::new()).collect();
         let write_buffer = RtlWriteBuffer::new(config.params.write_buffer_depth);
         let slave = DdrSlave::new(config.ddr);
@@ -115,6 +124,9 @@ impl RtlSystem {
             pins,
             shared: SharedPins::new(),
             arbiter,
+            sampled: SampledRequests::new(),
+            slots,
+            write_buffer_slot,
             write_buffer,
             slave,
             checker: ProtocolChecker::new(),
@@ -360,17 +372,11 @@ impl RtlSystem {
             self.shared.hgrant.load(None);
             return;
         }
-        let mut sampled = Vec::with_capacity(self.masters.len() + 1);
-        for master in &self.masters {
+        self.sampled.clear();
+        for (master, &slot) in self.masters.iter().zip(&self.slots) {
             if master.is_requesting() {
                 if let Some(txn) = master.current() {
-                    sampled.push(SampledRequest {
-                        master: master.id(),
-                        requested_at: master.requested_at(),
-                        addr: txn.addr,
-                        is_write_buffer: false,
-                        write_buffer_fill: 0,
-                    });
+                    self.sampled.push(slot, master.requested_at(), txn.addr);
                 }
             }
         }
@@ -379,26 +385,28 @@ impl RtlSystem {
         let buffer_busy = self.burst.as_ref().is_some_and(|b| b.via_write_buffer);
         if !buffer_busy {
             if let Some(head) = self.write_buffer.head() {
-                sampled.push(SampledRequest {
-                    master: RTL_WRITE_BUFFER_MASTER,
-                    requested_at: head.absorbed_at,
-                    addr: head.txn.addr,
-                    is_write_buffer: true,
-                    write_buffer_fill: self.write_buffer.fill(),
-                });
+                self.sampled.push_write_buffer(
+                    self.write_buffer_slot,
+                    head.absorbed_at,
+                    head.txn.addr,
+                    self.write_buffer.fill(),
+                );
             }
         }
-        match self.arbiter.decide(now, &sampled, self.slave.controller()) {
+        match self
+            .arbiter
+            .decide(now, &self.sampled, self.slave.controller())
+        {
             Some(decision) => {
                 let previous = self.shared.hgrant.get();
                 self.shared.hgrant.load(Some(decision.master));
                 // Bus Interface: forward the next transaction's address so
                 // the DDR controller can open its bank in advance.
                 if burst_active && self.config.params.bi_next_transaction_hints {
-                    let addr = sampled
-                        .iter()
-                        .find(|s| s.master == decision.master)
-                        .map(|s| s.addr);
+                    let addr = self
+                        .arbiter
+                        .slot(decision.master)
+                        .and_then(|slot| self.sampled.addr(slot));
                     if let Some(addr) = addr {
                         if previous != Some(decision.master) || self.last_bi_hint != Some(addr) {
                             self.slave.prepare(now, addr);

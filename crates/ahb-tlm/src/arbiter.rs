@@ -1,25 +1,22 @@
 //! The transaction-level AHB+ arbitration front-end.
 //!
-//! The arbiter owns the QoS register file (paper §2) and the shared
-//! [`ArbitrationPolicy`] filter chain, translates the currently pending
-//! transaction-level requests into [`RequestView`] snapshots (including the
-//! bank-readiness feedback obtained from the DDR controller over the Bus
-//! Interface) and produces grant decisions plus the next-transaction hint
-//! the BI forwards to the controller.
+//! The arbiter wraps the shared [`ArbitrationPolicy`] — the QoS register
+//! file (paper §2) and the filter chain — counts grants, and produces the
+//! next-transaction hint the Bus Interface forwards to the DDR controller.
+//! The bus presents its requests in place, as a [`RequestSet`] over its
+//! ready set and master heads ([`TlmArbiter::arbitrate`]);
+//! [`TlmArbiter::decide`] runs the same chain over an explicit list of
+//! [`PendingRequest`]s, for replaying decisions outside a running bus.
 
-use amba::arbitration::{ArbiterConfig, ArbitrationPolicy, Decision, RequestView};
+use amba::arbitration::{ArbiterConfig, ArbitrationPolicy, Decision, RequestSet, SampledRequests};
 use amba::bi::NextTransactionInfo;
 use amba::ids::{Addr, MasterId};
-use amba::qos::{QosConfig, QosRegisterFile};
+use amba::qos::QosConfig;
 use amba::txn::{Transaction, TxnHandle};
 use ddrc::DdrController;
 use simkern::time::Cycle;
 
-/// One pending request as presented to the arbiter.
-///
-/// Carries a pooled [`TxnHandle`] plus the copied-out address (the only
-/// transaction field arbitration needs) instead of a cloned transaction, so
-/// rebuilding the pending set every arbitration round stays allocation-free.
+/// One pending request, as [`TlmArbiter::decide`] takes it.
 #[derive(Debug, Clone, Copy)]
 pub struct PendingRequest {
     /// The requesting master (the write buffer uses its own id).
@@ -40,12 +37,11 @@ pub struct PendingRequest {
 #[derive(Debug, Clone)]
 pub struct TlmArbiter {
     policy: ArbitrationPolicy,
-    qos: QosRegisterFile,
     bank_affinity_from_bi: bool,
     grants: u64,
-    /// Request-view buffer reused across arbitration rounds (zero-alloc
-    /// hot path: the capacity sticks after the first round).
-    views: Vec<RequestView>,
+    /// The buffer [`TlmArbiter::decide`] samples its request list into
+    /// (reused, so repeated replays allocate nothing).
+    sampled: SampledRequests,
 }
 
 impl TlmArbiter {
@@ -58,22 +54,37 @@ impl TlmArbiter {
     pub fn new(config: ArbiterConfig, bank_affinity_from_bi: bool) -> Self {
         TlmArbiter {
             policy: ArbitrationPolicy::new(config),
-            qos: QosRegisterFile::new(),
             bank_affinity_from_bi,
             grants: 0,
-            views: Vec::new(),
+            sampled: SampledRequests::new(),
         }
     }
 
-    /// Programs the QoS registers for one master (paper §2).
+    /// Programs the QoS registers for one master (paper §2). Every master
+    /// that requests through [`TlmArbiter::arbitrate`] must be programmed;
+    /// see [`ArbitrationPolicy::program_qos`].
     pub fn program_qos(&mut self, master: MasterId, qos: QosConfig) {
-        self.qos.program(master, qos);
+        self.policy.program_qos(master, qos);
     }
 
     /// Reads back the QoS registers of a master.
     #[must_use]
     pub fn qos_of(&self, master: MasterId) -> QosConfig {
-        self.qos.lookup(master)
+        self.policy.qos(master)
+    }
+
+    /// The arbitration slot of a programmed master.
+    #[must_use]
+    pub fn slot(&self, master: MasterId) -> Option<usize> {
+        self.policy.slot(master)
+    }
+
+    /// Whether the arbiter uses the BI bank-readiness feedback; a
+    /// [`RequestSet`] passed to [`TlmArbiter::arbitrate`] reports no bank
+    /// as ready when it does not.
+    #[must_use]
+    pub fn bank_affinity_from_bi(&self) -> bool {
+        self.bank_affinity_from_bi
     }
 
     /// Number of grants issued so far.
@@ -82,11 +93,20 @@ impl TlmArbiter {
         self.grants
     }
 
-    /// Builds the request snapshots and runs the filter chain.
+    /// Runs the filter chain over the requests the bus presents in place.
+    /// No decision state changes until [`TlmArbiter::record_grant`].
+    #[must_use]
+    pub fn arbitrate(&self, requests: &impl RequestSet) -> Option<Decision> {
+        self.policy.decide(requests)
+    }
+
+    /// Runs the filter chain over an explicit request list at `now`, with
+    /// bank readiness read from `ddr`.
     ///
-    /// Returns the winning master, or `None` when `pending` is empty. Takes
-    /// `&mut self` only to reuse the internal view buffer; no decision
-    /// state changes until [`TlmArbiter::record_grant`].
+    /// Returns the winning master, or `None` when `pending` is empty. A
+    /// master that was never programmed is programmed with the reset QoS
+    /// defaults first; otherwise no decision state changes until
+    /// [`TlmArbiter::record_grant`].
     #[must_use]
     pub fn decide(
         &mut self,
@@ -94,19 +114,33 @@ impl TlmArbiter {
         pending: &[PendingRequest],
         ddr: &DdrController,
     ) -> Option<Decision> {
-        self.views.clear();
+        // Programming renumbers slots, so it all happens before sampling.
         for request in pending {
-            let mut view = RequestView::new(
-                request.master,
-                self.qos.lookup(request.master),
-                now.saturating_since(request.requested_at).value(),
-            );
-            view.is_write_buffer = request.is_write_buffer;
-            view.write_buffer_fill = request.write_buffer_fill;
-            view.bank_ready = self.bank_affinity_from_bi && ddr.is_addr_ready(now, request.addr);
-            self.views.push(view);
+            if self.policy.slot(request.master).is_none() {
+                self.policy
+                    .program_qos(request.master, QosConfig::default());
+            }
         }
-        self.policy.decide(&self.views)
+        self.sampled.clear();
+        for request in pending {
+            let slot = self.policy.slot(request.master).expect("programmed above");
+            if request.is_write_buffer {
+                self.sampled.push_write_buffer(
+                    slot,
+                    request.requested_at,
+                    request.addr,
+                    request.write_buffer_fill,
+                );
+            } else {
+                self.sampled.push(slot, request.requested_at, request.addr);
+            }
+        }
+        let bank_feedback = self.bank_affinity_from_bi;
+        self.policy.decide(
+            &self
+                .sampled
+                .at(now, |addr| bank_feedback && ddr.is_addr_ready(now, addr)),
+        )
     }
 
     /// Commits a grant decision (advances the round-robin pointer).
@@ -179,6 +213,23 @@ mod tests {
         let decision = arbiter.decide(Cycle::new(10), &pending, &ddr).unwrap();
         assert_eq!(decision.master, MasterId::new(1), "real-time class wins");
         assert!(arbiter.qos_of(MasterId::new(1)).class.is_real_time());
+    }
+
+    #[test]
+    fn unprogrammed_requesters_read_the_reset_defaults() {
+        let mut arbiter = TlmArbiter::new(ArbiterConfig::ahb_plus(), true);
+        let ddr = DdrController::new(DdrConfig::ahb_plus());
+        arbiter.program_qos(MasterId::new(5), QosConfig::real_time(10_000, 9));
+        let mut arena = TxnArena::new();
+        // Master 2 takes a slot below master 5's when it is programmed.
+        let pending = [
+            request(&mut arena, 5, 0x2000_0000, 0),
+            request(&mut arena, 2, 0x2000_0800, 0),
+        ];
+        let decision = arbiter.decide(Cycle::new(10), &pending, &ddr).unwrap();
+        assert_eq!(decision.master, MasterId::new(5), "real-time class wins");
+        assert_eq!(arbiter.qos_of(MasterId::new(2)), QosConfig::default());
+        assert_eq!(arbiter.slot(MasterId::new(2)), Some(0));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * `HBUSREQ` assertion → a master's trace item reaching its release time
 //!   ([`TraceMaster::ready_at`]).
 //! * `CheckGrant()` → the arbitration step performed whenever the bus is
-//!   free ([`TlmArbiter::decide`]).
+//!   free ([`TlmArbiter::arbitrate`], over the ready set and the master
+//!   heads read in place).
 //! * `Read(addr, *data, *ctrl)` / `Write(...)` returning `OK` → the timing
 //!   returned by [`ddrc::DdrController::access`] plus the bus-side phase
 //!   overheads computed here.
@@ -21,6 +22,7 @@
 
 use std::time::Instant;
 
+use amba::arbitration::{RequestSet, SlotSet};
 use amba::bridge::{BridgePort, ParkedRead, ShardPort};
 use amba::check::validate_transaction;
 use amba::ids::MasterId;
@@ -35,7 +37,7 @@ use simkern::assertion::{AssertionKind, AssertionSink, Severity};
 use simkern::time::{Cycle, CycleDelta};
 use traffic::{TrafficPattern, TrafficTrace};
 
-use crate::arbiter::{PendingRequest, TlmArbiter};
+use crate::arbiter::TlmArbiter;
 use crate::config::TlmConfig;
 use crate::master::TraceMaster;
 use crate::ready::ReadySet;
@@ -63,9 +65,6 @@ pub struct TlmSystem {
     /// Pool of in-flight transactions; see `amba::txn::TxnArena` for the
     /// ownership rules the bus, masters and write buffer follow.
     arena: TxnArena,
-    /// Pending-request buffer rebuilt (allocation-free) every arbitration
-    /// round.
-    pending: Vec<PendingRequest>,
     now: Cycle,
     last_completion: Cycle,
     /// Master speculatively selected to own the bus next (request
@@ -82,30 +81,37 @@ pub struct TlmSystem {
     /// and the start of the next, so a second pass at the same horizon is a
     /// guaranteed no-op and is skipped.
     absorbed_at: Option<Cycle>,
-    /// Time at which `self.pending` was (re)collected, when it is still
-    /// current — lets the next step reuse the speculative pipelining
-    /// collection instead of rebuilding an identical set.
-    pending_fresh_at: Option<Cycle>,
+    /// Time of the speculative arbitration round, while its outcome still
+    /// stands — cleared whenever the requests it read change (an
+    /// absorption, a resumed master, a crossing released by then).
+    decided_at: Option<Cycle>,
     /// The winner of the speculative arbitration round, committed as the
-    /// next grant while the pending set is unchanged: request pipelining
+    /// next grant while `decided_at` stands: request pipelining
     /// pre-arbitrates the next owner during the current data phase
     /// (paper §2), so the pre-arbitrated master takes the bus without a
-    /// second arbitration pass.
-    speculative_winner: Option<(MasterId, amba::txn::TxnHandle, Cycle, bool)>,
+    /// second arbitration pass. Re-deciding at commit time is not
+    /// equivalent: the BI hint's `ddr.prepare` runs in between and can
+    /// change bank readiness.
+    speculative_winner: Option<MasterId>,
     /// Cycle at which the most recent write-buffer slot became free after a
     /// full-buffer phase; posted writes cannot be absorbed earlier.
     slot_freed_at: Cycle,
     /// The incrementally maintained released-request set (bitset of ready
-    /// masters + release-time table with a cached minimum), replacing the
-    /// per-round O(N) master scans — see [`ReadySet`]. Positions are
-    /// indices into `masters`.
+    /// masters + release-time table with a cached minimum) — see
+    /// [`ReadySet`]. Positions are indices into `masters`; its slot layout
+    /// is the arbiter's pending set.
     ready: ReadySet,
-    /// Constant bitmask of the masters that post writes; the absorption
-    /// pass visits `ready ∩ posted_mask` only.
-    posted_mask: Vec<u64>,
+    /// Positions of the posting masters whose head is a postable write;
+    /// the absorption pass visits `ready ∩ postable` only.
+    postable: SlotSet,
     /// Master-id → position map (`masters` is position-indexed; grant
     /// decisions carry ids).
     index_by_id: Vec<usize>,
+    /// Arbitration slot → position map (`usize::MAX` for the write
+    /// buffer's slot).
+    position_of_slot: Vec<usize>,
+    /// The write buffer's arbitration slot.
+    write_buffer_slot: usize,
     /// Wall-clock seconds spent inside `run_until` so far (accumulated
     /// across bounded steps so a step-driven run reports the same speed
     /// accounting as a one-shot run).
@@ -193,23 +199,22 @@ impl TlmSystem {
         let in_flight = trace_masters.len() + config.params.write_buffer_depth + 1;
         let traces_valid = trace_masters.iter().all(|m| m.trace_is_valid());
         let masters_done = trace_masters.iter().filter(|m| m.is_done()).count();
-        let mut ready = ReadySet::new(trace_masters.len());
+        let slot_of = |id: MasterId| arbiter.slot(id).expect("every requester is programmed");
+        let slot_of_position: Vec<usize> = trace_masters.iter().map(|m| slot_of(m.id())).collect();
+        let write_buffer_slot = slot_of(WRITE_BUFFER_MASTER);
+        let mut position_of_slot = vec![usize::MAX; trace_masters.len() + 1];
+        let mut index_by_id = vec![usize::MAX; 256];
+        for (position, master) in trace_masters.iter().enumerate() {
+            position_of_slot[slot_of_position[position]] = position;
+            index_by_id[master.id().index()] = position;
+        }
+        let mut ready = ReadySet::new(slot_of_position);
+        let mut postable = SlotSet::EMPTY;
         for (position, master) in trace_masters.iter().enumerate() {
             if let Some(at) = master.ready_at() {
                 ready.schedule(position, at);
             }
-        }
-        let posted_mask = ReadySet::mask_of(
-            trace_masters.len(),
-            trace_masters
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.posted_writes())
-                .map(|(i, _)| i),
-        );
-        let mut index_by_id = vec![usize::MAX; 256];
-        for (position, master) in trace_masters.iter().enumerate() {
-            index_by_id[master.id().index()] = position;
+            track_head(&mut postable, position, master);
         }
         TlmSystem {
             config,
@@ -220,19 +225,20 @@ impl TlmSystem {
             recorder,
             assertions: AssertionSink::new(),
             arena: TxnArena::with_capacity(in_flight),
-            pending: Vec::with_capacity(in_flight),
             now: Cycle::ZERO,
             last_completion: Cycle::ZERO,
             prepared_next: None,
             traces_valid,
             masters_done,
             absorbed_at: None,
-            pending_fresh_at: None,
+            decided_at: None,
             speculative_winner: None,
             slot_freed_at: Cycle::ZERO,
             ready,
-            posted_mask,
+            postable,
             index_by_id,
+            position_of_slot,
+            write_buffer_slot,
             wall_seconds: 0.0,
             bridge,
             tracer: Tracer::disabled(),
@@ -365,7 +371,8 @@ impl TlmSystem {
         let txn = bridge.replay(source, respond_to);
         let master = &mut self.masters[position];
         let was_done = master.is_done();
-        let new_head = master.insert_pending(txn, release_at);
+        let new_head = master.insert_pending(txn, release_at, &mut self.arena);
+        track_head(&mut self.postable, position, master);
         if was_done {
             self.masters_done -= 1;
         }
@@ -377,22 +384,18 @@ impl TlmSystem {
         // stream is identical across scheduler modes).
         self.tracer
             .crossing(TraceEventKind::BridgeReplay, &source, release_at);
-        // The speculative pipelining caches were computed without this
-        // request, but they are only ever reused at exactly the cycle
-        // they were collected for (`pending_fresh_at`). A replay whose
-        // release lies strictly after that cycle cannot join that
-        // collection, so the cached arbitration outcome is identical to a
-        // recomputed one and may stand; dropping it only when the release
-        // lands at or before the cached cycle keeps every mode's
-        // arbitration bit-identical while sparing one full re-collection
-        // and arbiter round per crossing. The platform injects at
-        // barriers fixed by the committed schedule, so the
-        // (non-)invalidation is deterministic too.
-        if self
-            .pending_fresh_at
-            .is_some_and(|fresh| release_at <= fresh)
-        {
-            self.pending_fresh_at = None;
+        // The speculative arbitration round did not see this request,
+        // but its outcome is only ever committed at exactly the cycle it
+        // was decided at (`decided_at`). A replay whose release lies
+        // strictly after that cycle cannot take part in that round, so
+        // the outcome is identical to a recomputed one and may stand;
+        // dropping it only when the release lands at or before that cycle
+        // keeps every mode's arbitration bit-identical while sparing one
+        // arbiter round per crossing. The platform injects at barriers
+        // fixed by the committed schedule, so the (non-)invalidation is
+        // deterministic too.
+        if self.decided_at.is_some_and(|decided| release_at <= decided) {
+            self.decided_at = None;
             self.speculative_winner = None;
         }
     }
@@ -424,13 +427,14 @@ impl TlmSystem {
         self.last_completion = self.last_completion.max(arrival);
         let master = &mut self.masters[parked.position];
         master.complete_current(arrival);
+        track_head(&mut self.postable, parked.position, master);
         match master.ready_at() {
             Some(next) => self.ready.schedule(parked.position, next),
             None => self.masters_done += 1,
         }
-        // Same cache invalidation as a crossing injection: the resumed
-        // master was not part of the speculative collection.
-        self.pending_fresh_at = None;
+        // Same invalidation as a crossing injection: the resumed master
+        // did not take part in the speculative round.
+        self.decided_at = None;
         self.speculative_winner = None;
     }
 
@@ -511,20 +515,12 @@ impl TlmSystem {
             if self.absorbed_at != Some(self.now) {
                 self.absorb_posted_writes(self.now);
             }
-            // Collect the requests pending at the current time (reusing the
-            // speculative pipelining collection when it is still current).
-            let reused_collection = self.pending_fresh_at == Some(self.now);
-            if !reused_collection {
-                self.collect_pending(self.now);
-            }
-            self.pending_fresh_at = None;
-            let committed_winner = if reused_collection {
-                self.speculative_winner.take()
-            } else {
-                self.speculative_winner = None;
-                None
-            };
-            if self.pending.is_empty() {
+            self.ready.sync(self.now);
+            // The speculative round's winner is committed when it was
+            // decided at this very cycle and nothing it read changed since.
+            let fresh = self.decided_at.take() == Some(self.now);
+            let committed_winner = self.speculative_winner.take().filter(|_| fresh);
+            if self.ready.is_empty() && !self.write_buffer.is_occupied() {
                 // Nobody is ready: jump to the next release time (the
                 // ready set's cached minimum) and retry without bouncing
                 // through the outer run loop.
@@ -552,35 +548,39 @@ impl TlmSystem {
         };
 
         // The pre-arbitrated winner (request pipelining) takes the bus
-        // without a second arbitration pass; otherwise a sole candidate
-        // wins every filter chain, and only a genuinely contested round
-        // runs the filters. Alongside the winner, resolve its pooled
-        // transaction handle and request time.
-        let (winner, handle, requested_at, via_write_buffer) =
-            if let Some((winner, handle, requested_at, is_wb)) = committed_winner {
-                (winner, handle, requested_at, is_wb)
-            } else {
-                let winner = if self.pending.len() == 1 {
-                    self.pending[0].master
-                } else {
-                    let Some(decision) = self.arbiter.decide(self.now, &self.pending, &self.ddr)
-                    else {
-                        return false;
-                    };
-                    decision.master
-                };
-                let request = self
-                    .pending
-                    .iter()
-                    .find(|p| p.master == winner)
-                    .expect("granted master has no pending request");
-                (
-                    winner,
-                    request.handle,
-                    request.requested_at,
-                    request.is_write_buffer,
-                )
-            };
+        // without a second arbitration pass; otherwise the filter chain
+        // runs over the requests in place. Only the winner's transaction
+        // is interned.
+        let winner = match committed_winner {
+            Some(winner) => winner,
+            None => match self.arbiter.arbitrate(&LiveRequests {
+                system: self,
+                now: self.now,
+            }) {
+                Some(decision) => decision.master,
+                None => return false,
+            },
+        };
+        let via_write_buffer = winner == WRITE_BUFFER_MASTER;
+        let others_waiting = if self.write_buffer.is_occupied() {
+            !via_write_buffer || !self.ready.is_empty()
+        } else {
+            self.ready.several()
+        };
+        let (handle, requested_at) = if via_write_buffer {
+            let head = self
+                .write_buffer
+                .head()
+                .expect("granted write buffer holds a write");
+            (head.handle, head.absorbed_at)
+        } else {
+            let master = &mut self.masters[self.index_by_id[winner.index()]];
+            let requested_at = master.ready_at().unwrap_or(self.now);
+            let handle = master
+                .intern_pending(self.now, &mut self.arena)
+                .expect("granted master has a released head");
+            (handle, requested_at)
+        };
         self.arbiter.record_grant(winner);
         let txn = *self.arena.get(handle);
 
@@ -655,7 +655,6 @@ impl TlmSystem {
 
         // Profiling (paper §3.6).
         let bus_occupied = completed_at.saturating_since(addr_phase);
-        let others_waiting = self.pending.iter().any(|p| p.master != winner);
         self.recorder
             .add_busy_cycles(bus_occupied.value(), others_waiting);
         // A stalled read is not complete yet: its metrics are recorded by
@@ -741,6 +740,7 @@ impl TlmSystem {
             let position = self.index_by_id[winner.index()];
             let master = &mut self.masters[position];
             master.complete_current(completed_at);
+            track_head(&mut self.postable, position, master);
             self.ready.clear(position);
             match master.ready_at() {
                 Some(next) => self.ready.schedule(position, next),
@@ -758,37 +758,33 @@ impl TlmSystem {
         // open the next bank in advance.
         self.prepared_next = None;
         if self.config.params.request_pipelining {
-            self.collect_pending(completed_at);
-            self.pending_fresh_at = Some(completed_at);
-            let next_master = if self.pending.len() == 1 {
-                Some(self.pending[0].master)
-            } else {
-                self.arbiter
-                    .decide(completed_at, &self.pending, &self.ddr)
-                    .map(|next| next.master)
-            };
-            self.speculative_winner = next_master.and_then(|master| {
-                self.pending
-                    .iter()
-                    .find(|p| p.master == master)
-                    .map(|p| (master, p.handle, p.requested_at, p.is_write_buffer))
-            });
+            self.ready.sync(completed_at);
+            let next_master = self
+                .arbiter
+                .arbitrate(&LiveRequests {
+                    system: self,
+                    now: completed_at,
+                })
+                .map(|next| next.master);
+            self.decided_at = Some(completed_at);
+            self.speculative_winner = next_master;
             if let Some(next_master) = next_master {
                 self.prepared_next = Some(next_master);
                 if self.config.params.bi_next_transaction_hints {
-                    if let Some(next_req) = self.pending.iter().find(|p| p.master == next_master) {
-                        let info =
-                            TlmArbiter::next_transaction_info(self.arena.get(next_req.handle));
-                        // A remote-window transaction never reaches the
-                        // local DRAM, so hinting its address would open a
-                        // bank for nobody.
-                        let hint_remote = self
-                            .bridge
-                            .as_ref()
-                            .is_some_and(|b| b.port().is_remote(info.addr));
-                        if !hint_remote {
-                            self.ddr.prepare(addr_phase + CycleDelta::ONE, info.addr);
-                        }
+                    let slot = self
+                        .arbiter
+                        .slot(next_master)
+                        .expect("winner is programmed");
+                    let info = TlmArbiter::next_transaction_info(self.request(slot).1);
+                    // A remote-window transaction never reaches the local
+                    // DRAM, so hinting its address would open a bank for
+                    // nobody.
+                    let hint_remote = self
+                        .bridge
+                        .as_ref()
+                        .is_some_and(|b| b.port().is_remote(info.addr));
+                    if !hint_remote {
+                        self.ddr.prepare(addr_phase + CycleDelta::ONE, info.addr);
                     }
                 }
             }
@@ -803,39 +799,20 @@ impl TlmSystem {
         true
     }
 
-    /// Rebuilds `self.pending` with the requests visible at `at`. Only
-    /// the masters in the ready set are touched (the O(N) full scan this
-    /// replaces survives only inside `ReadySet::sync`'s cold half, paid
-    /// once per release crossing). The buffer and the transaction pool
-    /// are reused, so steady-state rounds allocate nothing and clone no
-    /// transaction.
-    fn collect_pending(&mut self, at: Cycle) {
-        self.pending.clear();
-        self.ready.sync(at);
-        self.ready.for_each(|position| {
-            let master = &mut self.masters[position];
-            let Some(handle) = master.intern_pending(at, &mut self.arena) else {
-                debug_assert!(false, "ready-set master must have a released head");
-                return;
-            };
-            self.pending.push(PendingRequest {
-                master: master.id(),
-                handle,
-                addr: self.arena.get(handle).addr,
-                requested_at: master.ready_at().unwrap_or(at),
-                is_write_buffer: false,
-                write_buffer_fill: 0,
-            });
-        });
-        if let Some(head) = self.write_buffer.head() {
-            self.pending.push(PendingRequest {
-                master: WRITE_BUFFER_MASTER,
-                handle: head.handle,
-                addr: self.arena.get(head.handle).addr,
-                requested_at: head.absorbed_at,
-                is_write_buffer: true,
-                write_buffer_fill: self.write_buffer.fill(),
-            });
+    /// The request in arbitration slot `slot`: when it was raised and the
+    /// transaction it wants to issue — the write buffer's head write, or a
+    /// master's head-of-trace item read in place (not interned).
+    fn request(&self, slot: usize) -> (Cycle, &Transaction) {
+        if slot == self.write_buffer_slot {
+            let head = self.write_buffer.head().expect("write buffer requests");
+            (head.absorbed_at, self.arena.get(head.handle))
+        } else {
+            let master = &self.masters[self.position_of_slot[slot]];
+            let requested_at = master.ready_at().expect("requesting master has a head");
+            (
+                requested_at,
+                master.head().expect("requesting master has a head"),
+            )
         }
     }
 
@@ -844,73 +821,114 @@ impl TlmSystem {
     /// the write's release time (the cycle the pin-accurate model would have
     /// accepted it) and repeats until a fixed point because a master whose
     /// write was absorbed may release another posted write inside the same
-    /// window. The pass visits `ready ∩ posted` only — while no posted
-    /// master has a released request the whole call is two bitset words of
-    /// work.
+    /// window. The pass visits `ready ∩ postable` only, in position order
+    /// (the pin-accurate model's scan order) — masters whose head is a read
+    /// cost nothing here.
     fn absorb_posted_writes(&mut self, horizon: Cycle) {
         self.absorbed_at = Some(horizon);
         if !self.write_buffer.is_enabled() {
             return;
         }
         self.ready.sync(horizon);
-        if !self.ready.intersects(&self.posted_mask) {
+        if !self.ready.intersects(&self.postable) {
             return;
         }
         let mut buffer_filled = false;
         loop {
-            // Only a master whose *new* head released inside the window can
-            // absorb again, so the fixed point is reached the moment a pass
-            // re-releases nobody — absorbing alone does not force a re-scan.
+            // Only a master whose *new* head is a postable write released
+            // inside the window can absorb again, so the fixed point is
+            // reached the moment a pass re-releases none.
             let mut rereleased = false;
-            // The mask is moved out for the duration of the pass so the
-            // ready set can hand itself to the visitor mutably.
-            let mask = std::mem::take(&mut self.posted_mask);
-            self.ready.for_each_masked(&mask, |ready, position| {
-                if !self.write_buffer.has_space() {
-                    buffer_filled = true;
-                    return false;
-                }
-                let master = &mut self.masters[position];
-                let Some(ready_at) = master.ready_at() else {
-                    debug_assert!(false, "ready-set master must have a released head");
-                    return true;
-                };
-                // Interning is free for non-postable heads: the handle stays
-                // cached and is reused by the next arbitration round.
-                let Some(handle) = master.intern_pending(horizon, &mut self.arena) else {
-                    return true;
-                };
-                let absorbed_at = ready_at.max(self.slot_freed_at);
-                // On success the buffer takes handle ownership.
-                if self.write_buffer.absorb(&self.arena, handle, absorbed_at) {
-                    if self.tracer.is_enabled() {
-                        let txn = *self.arena.get(handle);
-                        self.tracer.absorb(
-                            txn.master.index() as u16,
-                            txn.id.value(),
-                            ready_at.value(),
-                            absorbed_at.value(),
-                        );
+            self.ready
+                .for_each_masked(self.postable, |ready, position| {
+                    if !self.write_buffer.has_space() {
+                        buffer_filled = true;
+                        return false;
                     }
                     let master = &mut self.masters[position];
-                    master.complete_current(absorbed_at);
-                    ready.clear(position);
-                    match master.ready_at() {
-                        Some(next) => {
-                            ready.schedule(position, next);
-                            rereleased |= ready.contains(position);
+                    let Some(ready_at) = master.ready_at() else {
+                        debug_assert!(false, "ready-set master must have a released head");
+                        return true;
+                    };
+                    let Some(handle) = master.intern_pending(horizon, &mut self.arena) else {
+                        return true;
+                    };
+                    let absorbed_at = ready_at.max(self.slot_freed_at);
+                    // On success the buffer takes handle ownership.
+                    if self.write_buffer.absorb(&self.arena, handle, absorbed_at) {
+                        if self.tracer.is_enabled() {
+                            let txn = *self.arena.get(handle);
+                            self.tracer.absorb(
+                                txn.master.index() as u16,
+                                txn.id.value(),
+                                ready_at.value(),
+                                absorbed_at.value(),
+                            );
                         }
-                        None => self.masters_done += 1,
+                        master.complete_current(absorbed_at);
+                        track_head(&mut self.postable, position, master);
+                        ready.clear(position);
+                        match master.ready_at() {
+                            Some(next) => {
+                                ready.schedule(position, next);
+                                rereleased |=
+                                    ready.contains(position) && self.postable.contains(position);
+                            }
+                            None => self.masters_done += 1,
+                        }
+                        self.decided_at = None;
                     }
-                    self.pending_fresh_at = None;
-                }
-                true
-            });
-            self.posted_mask = mask;
+                    true
+                });
             if buffer_filled || !rereleased {
                 break;
             }
         }
+    }
+}
+
+/// Keeps `postable` in step with the head of the master at `position`:
+/// called whenever that head changes.
+fn track_head(postable: &mut SlotSet, position: usize, master: &TraceMaster) {
+    if master.head_is_postable() {
+        postable.insert(position);
+    } else {
+        postable.remove(position);
+    }
+}
+
+/// The bus's requests as the filter chain reads them at `now` (with the
+/// ready set synchronized to it): the ready set's slot layout is the
+/// pending set, and a request's wait and target bank are read in place
+/// ([`TlmSystem::request`]), only for the candidates the chain asks about.
+struct LiveRequests<'a> {
+    system: &'a TlmSystem,
+    now: Cycle,
+}
+
+impl RequestSet for LiveRequests<'_> {
+    fn pending(&self) -> SlotSet {
+        self.system.ready.slots()
+    }
+
+    fn write_buffer(&self) -> Option<(usize, usize)> {
+        let buffer = &self.system.write_buffer;
+        buffer
+            .is_occupied()
+            .then(|| (self.system.write_buffer_slot, buffer.fill()))
+    }
+
+    fn waited(&self, slot: usize) -> u64 {
+        let (requested_at, _) = self.system.request(slot);
+        self.now.saturating_since(requested_at).value()
+    }
+
+    fn bank_ready(&self, slot: usize) -> bool {
+        let system = self.system;
+        system.arbiter.bank_affinity_from_bi()
+            && system
+                .ddr
+                .is_addr_ready(self.now, system.request(slot).1.addr)
     }
 }
 

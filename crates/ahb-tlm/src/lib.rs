@@ -28,12 +28,18 @@
 //!   extra master when occupied (paper §3.3).
 //! * [`arbiter`] — the QoS-aware arbitration front-end and the BI
 //!   next-transaction hint generation.
+//! * [`ready`] — the incrementally maintained set of masters with a
+//!   released request, kept in the arbiter's slot layout so it *is* the
+//!   filter chain's pending set.
 //! * [`bus`] — the transaction-level bus engine and [`TlmSystem`], the
 //!   top-level object that runs a platform and produces a
-//!   [`analysis::SimReport`]. As one shard of a multi-bus platform it
-//!   holds the shared bridge endpoint, [`amba::bridge::ShardPort`], and
-//!   adds only its own glue: the ready set, the pipelining-cache
-//!   invalidation and the tracer calls.
+//!   [`analysis::SimReport`]. Each arbitration round reads the ready set,
+//!   the master heads and the write-buffer head in place and interns only
+//!   the winner's transaction, so a round costs about the same with 4 or
+//!   64 waiting masters. As one shard of a multi-bus platform it holds the
+//!   shared bridge endpoint, [`amba::bridge::ShardPort`], and adds only
+//!   its own glue: the ready set, the invalidation of the speculative
+//!   (pipelined) decision and the tracer calls.
 //!
 //! [`TlmSystem`] implements the unified [`analysis::BusModel`] trait —
 //! bounded stepping (`run_until`/`step`), [`analysis::Probe`] snapshots

@@ -75,6 +75,24 @@ impl TraceMaster {
         }
     }
 
+    /// The head-of-trace transaction as generated, or `None` when the
+    /// trace is exhausted. The bus reads a request's address here, in
+    /// place, without interning it.
+    #[must_use]
+    pub fn head(&self) -> Option<&Transaction> {
+        self.items.items().get(self.next).map(|item| &item.txn)
+    }
+
+    /// Whether the head is a write this master posts: one the write buffer
+    /// can absorb.
+    #[must_use]
+    pub fn head_is_postable(&self) -> bool {
+        self.posted_writes
+            && self
+                .head()
+                .is_some_and(|txn| txn.posted_ok && txn.is_write())
+    }
+
     /// Index of the head-of-trace item. The multi-bus lookahead scan uses
     /// this to index its precomputed per-position release transforms.
     #[must_use]
@@ -119,11 +137,21 @@ impl TraceMaster {
     /// Returns `true` when the new item became the head of the trace
     /// (`ready_at` was refreshed; the caller re-registers the master with
     /// the platform's ready set and, when the trace was exhausted, its
-    /// completion bookkeeping).
-    pub fn insert_pending(&mut self, txn: Transaction, release_at: Cycle) -> bool {
+    /// completion bookkeeping). A head it displaces loses its interned
+    /// handle back to `arena`, so the next [`TraceMaster::intern_pending`]
+    /// interns the new head rather than replaying the displaced one.
+    pub fn insert_pending(
+        &mut self,
+        txn: Transaction,
+        release_at: Cycle,
+        arena: &mut TxnArena,
+    ) -> bool {
         let head = self.items.insert_pending(self.next, txn, release_at) == self.next;
         if head {
             self.ready_at = release_at;
+            if let Some(displaced) = self.handle.take() {
+                arena.release(displaced);
+            }
         }
         head
     }
@@ -239,6 +267,39 @@ mod tests {
         let mut m = master(MasterProfile::cpu(), 1);
         m.complete_current(Cycle::new(10));
         m.complete_current(Cycle::new(20));
+    }
+
+    #[test]
+    fn a_displaced_head_is_not_replayed() {
+        use amba::burst::BurstKind;
+        use amba::ids::Addr;
+        use amba::signal::HSize;
+        use amba::txn::TransferDirection;
+
+        let crossing = |addr: u32| {
+            Transaction::new(
+                MasterId::new(240),
+                Addr::new(addr),
+                TransferDirection::Read,
+                BurstKind::Incr4,
+                HSize::Word,
+            )
+        };
+        let mut m = TraceMaster::new(TrafficTrace::empty(MasterId::new(240)), false);
+        let mut arena = TxnArena::new();
+        assert!(m.insert_pending(crossing(0x100), Cycle::new(50), &mut arena));
+        let first = m
+            .intern_pending(Cycle::new(60), &mut arena)
+            .expect("released");
+        assert_eq!(arena.get(first).addr, Addr::new(0x100));
+        // A crossing released earlier lands ahead of the interned head.
+        assert!(m.insert_pending(crossing(0x200), Cycle::new(40), &mut arena));
+        let head = m
+            .intern_pending(Cycle::new(60), &mut arena)
+            .expect("released");
+        assert_eq!(arena.get(head).addr, Addr::new(0x200));
+        assert_eq!(m.head().map(|t| t.addr), Some(Addr::new(0x200)));
+        assert_eq!(m.ready_at(), Some(Cycle::new(40)));
     }
 
     #[test]

@@ -1,34 +1,44 @@
 //! The ready-master set: which masters have a released request *now*,
 //! and when the next one joins.
 //!
-//! The transaction-level engine used to rediscover this by scanning every
-//! master per arbitration round — O(N) per transaction, fine at the
-//! paper's 4 masters, quadratic pain at 64. The set is now maintained
-//! incrementally: a bitset of currently released masters (indexed by the
-//! platform's master *position*, so iteration order equals the old scan
-//! order) plus a flat release-time table with a cached minimum. The
-//! common operations are branch-cheap:
+//! The set is maintained incrementally instead of being rediscovered by
+//! scanning every master per arbitration round: a bitset of currently
+//! released masters plus a flat release-time table with a cached minimum.
+//! The bitset is kept in two layouts. By arbitration slot
+//! ([`amba::arbitration::ArbitrationPolicy::slot`]) it *is* the pending
+//! set the filter chain narrows, so arbitration reads it as is; by
+//! platform position it gives the write-buffer absorption pass the order
+//! of the pin-accurate model's master scan. The common operations are
+//! branch-cheap:
 //!
 //! * [`ReadySet::sync`] — one compare while no queued release has
 //!   arrived; a single pass over the release table when one has (paid
 //!   once per release event, not per arbitration round);
-//! * [`ReadySet::schedule`] / [`ReadySet::clear`] — one store and one
+//! * [`ReadySet::schedule`] / [`ReadySet::clear`] — two bit stores and one
 //!   `min` per transaction retirement, no heap sifting;
-//! * arbitration and absorption passes iterate set bits only, so idle
-//!   masters cost nothing per round.
+//! * the absorption pass iterates set bits only, so idle masters cost
+//!   nothing per round.
 //!
 //! The invariant that keeps the table exact (no stale entries): a
 //! master's release time only changes when its head transaction
 //! completes, and a transaction can only complete while its master is in
 //! the *ready* state — so a queued time is never invalidated in place.
 
+use amba::arbitration::SlotSet;
 use simkern::time::Cycle;
 
 /// Incrementally maintained set of masters with a released request.
 #[derive(Debug, Clone, Default)]
 pub struct ReadySet {
-    /// Bitset of ready masters, by position.
-    words: Vec<u64>,
+    /// Ready masters, by position.
+    positions: SlotSet,
+    /// Ready masters, by arbitration slot.
+    slots: SlotSet,
+    /// Words of either layout in use: the set-wide queries stop there, so
+    /// a bus of up to 64 masters pays for one word.
+    words: usize,
+    /// Arbitration slot by position.
+    slot_of: Vec<usize>,
     /// Pending release time per position (`u64::MAX` = ready, done, or
     /// never scheduled).
     release_times: Vec<u64>,
@@ -41,27 +51,30 @@ pub struct ReadySet {
 }
 
 impl ReadySet {
-    /// An empty set able to track `masters` positions.
+    /// An empty set over the masters whose arbitration slots, by
+    /// position, are `slot_of`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a position or a slot does not fit a [`SlotSet`].
     #[must_use]
-    pub fn new(masters: usize) -> Self {
+    pub fn new(slot_of: Vec<usize>) -> Self {
+        assert!(
+            slot_of.len() <= SlotSet::CAPACITY
+                && slot_of.iter().all(|&slot| slot < SlotSet::CAPACITY),
+            "at most {} masters per bus",
+            SlotSet::CAPACITY
+        );
+        let span = slot_of.iter().map(|&slot| slot + 1).max().unwrap_or(0);
         ReadySet {
-            words: vec![0; masters.div_ceil(64)],
-            release_times: vec![u64::MAX; masters],
+            positions: SlotSet::EMPTY,
+            slots: SlotSet::EMPTY,
+            words: span.max(slot_of.len()).div_ceil(64),
+            release_times: vec![u64::MAX; slot_of.len()],
+            slot_of,
             synced_at: 0,
             next_release: u64::MAX,
         }
-    }
-
-    /// Builds the `posted`-style constant mask over the same positions:
-    /// a bitset with the given positions set, usable with
-    /// [`ReadySet::intersects`] / [`ReadySet::for_each_masked`].
-    #[must_use]
-    pub fn mask_of(masters: usize, positions: impl IntoIterator<Item = usize>) -> Vec<u64> {
-        let mut mask = vec![0u64; masters.div_ceil(64)];
-        for position in positions {
-            mask[position / 64] |= 1 << (position % 64);
-        }
-        mask
     }
 
     /// Advances the set to `at`: every master whose release time has
@@ -84,12 +97,13 @@ impl ReadySet {
     /// and recomputes the cached minimum.
     fn sync_slow(&mut self) {
         let mut next = u64::MAX;
-        for (position, time) in self.release_times.iter_mut().enumerate() {
-            if *time <= self.synced_at {
-                self.words[position / 64] |= 1 << (position % 64);
-                *time = u64::MAX;
+        for position in 0..self.release_times.len() {
+            let time = self.release_times[position];
+            if time <= self.synced_at {
+                self.insert(position);
+                self.release_times[position] = u64::MAX;
             } else {
-                next = next.min(*time);
+                next = next.min(time);
             }
         }
         self.next_release = next;
@@ -101,7 +115,7 @@ impl ReadySet {
     #[inline]
     pub fn schedule(&mut self, position: usize, at: Cycle) {
         if at.value() <= self.synced_at {
-            self.words[position / 64] |= 1 << (position % 64);
+            self.insert(position);
         } else {
             self.release_times[position] = at.value();
             self.next_release = self.next_release.min(at.value());
@@ -112,19 +126,51 @@ impl ReadySet {
     /// transaction retired).
     #[inline]
     pub fn clear(&mut self, position: usize) {
-        self.words[position / 64] &= !(1 << (position % 64));
+        self.positions.remove(position);
+        self.slots.remove(self.slot_of[position]);
+    }
+
+    #[inline]
+    fn insert(&mut self, position: usize) {
+        self.positions.insert(position);
+        self.slots.insert(self.slot_of[position]);
     }
 
     /// Whether the master at `position` currently has a released request.
     #[must_use]
     pub fn contains(&self, position: usize) -> bool {
-        self.words[position / 64] & (1 << (position % 64)) != 0
+        self.positions.contains(position)
     }
 
     /// `true` when no master is currently released.
     #[must_use]
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        (0..self.words).all(|word| self.slots.word(word) == 0)
+    }
+
+    /// `true` when more than one master is currently released.
+    #[must_use]
+    #[inline]
+    pub fn several(&self) -> bool {
+        let mut seen = false;
+        for word in (0..self.words).map(|word| self.slots.word(word)) {
+            if word != 0 {
+                if seen || word & (word - 1) != 0 {
+                    return true;
+                }
+                seen = true;
+            }
+        }
+        false
+    }
+
+    /// The released masters by arbitration slot: the filter chain's
+    /// pending set.
+    #[must_use]
+    #[inline]
+    pub fn slots(&self) -> SlotSet {
+        self.slots
     }
 
     /// The earliest future release time, if any master is still waiting.
@@ -138,33 +184,20 @@ impl ReadySet {
         }
     }
 
-    /// `true` when the ready bitset intersects `mask`.
+    /// `true` when a released master's position is in `mask`.
     #[must_use]
     #[inline]
-    pub fn intersects(&self, mask: &[u64]) -> bool {
-        self.words.iter().zip(mask).any(|(&w, &m)| w & m != 0)
-    }
-
-    /// Calls `f` for every ready position, in ascending order.
-    #[inline]
-    pub fn for_each(&self, mut f: impl FnMut(usize)) {
-        for (word_index, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let bit = bits.trailing_zeros() as usize;
-                f(word_index * 64 + bit);
-                bits &= bits - 1;
-            }
-        }
+    pub fn intersects(&self, mask: &SlotSet) -> bool {
+        (0..self.words).any(|word| self.positions.word(word) & mask.word(word) != 0)
     }
 
     /// Calls `f` for every position in `ready ∩ mask`, in ascending
     /// order, over a per-word *snapshot*: positions set by `f` itself are
-    /// not revisited within this pass (callers run a fixed-point loop,
-    /// exactly like the scan this replaces).
-    pub fn for_each_masked(&mut self, mask: &[u64], mut f: impl FnMut(&mut Self, usize) -> bool) {
-        for (word_index, &mask_word) in mask.iter().enumerate() {
-            let mut bits = self.words[word_index] & mask_word;
+    /// not revisited within this pass (callers run a fixed-point loop).
+    /// Stops early when `f` returns `false`.
+    pub fn for_each_masked(&mut self, mask: SlotSet, mut f: impl FnMut(&mut Self, usize) -> bool) {
+        for word_index in 0..self.words {
+            let mut bits = self.positions.word(word_index) & mask.word(word_index);
             while bits != 0 {
                 let bit = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
@@ -180,9 +213,14 @@ impl ReadySet {
 mod tests {
     use super::*;
 
+    /// A set whose slots equal its positions.
+    fn identity(masters: usize) -> ReadySet {
+        ReadySet::new((0..masters).collect())
+    }
+
     #[test]
     fn sync_releases_masters_in_time_order() {
-        let mut set = ReadySet::new(70);
+        let mut set = identity(70);
         set.schedule(0, Cycle::new(10));
         set.schedule(65, Cycle::new(5));
         set.schedule(3, Cycle::new(20));
@@ -195,14 +233,13 @@ mod tests {
         assert!(!set.contains(3));
         assert_eq!(set.next_release(), Some(Cycle::new(20)));
 
-        let mut seen = Vec::new();
-        set.for_each(|p| seen.push(p));
+        let seen: Vec<usize> = set.slots().iter().collect();
         assert_eq!(seen, vec![0, 65], "ascending position order");
     }
 
     #[test]
     fn immediate_schedule_sets_the_bit_directly() {
-        let mut set = ReadySet::new(4);
+        let mut set = identity(4);
         set.sync(Cycle::new(100));
         set.schedule(2, Cycle::new(50));
         assert!(set.contains(2), "past release is ready immediately");
@@ -213,7 +250,7 @@ mod tests {
 
     #[test]
     fn sync_is_monotone() {
-        let mut set = ReadySet::new(2);
+        let mut set = identity(2);
         set.schedule(0, Cycle::new(30));
         set.sync(Cycle::new(40));
         assert!(set.contains(0));
@@ -226,7 +263,7 @@ mod tests {
 
     #[test]
     fn rescheduling_after_release_works_repeatedly() {
-        let mut set = ReadySet::new(1);
+        let mut set = identity(1);
         for round in 0u64..5 {
             let release = (round + 1) * 100;
             set.schedule(0, Cycle::new(release));
@@ -241,15 +278,15 @@ mod tests {
 
     #[test]
     fn masked_iteration_intersects_and_snapshots() {
-        let mut set = ReadySet::new(130);
-        let mask = ReadySet::mask_of(130, [1usize, 64, 128]);
+        let mut set = identity(130);
+        let mask: SlotSet = [1usize, 64, 128].into_iter().collect();
         for position in [0usize, 1, 64, 100, 128] {
             set.schedule(position, Cycle::ZERO);
         }
         set.sync(Cycle::ZERO);
         assert!(set.intersects(&mask));
         let mut seen = Vec::new();
-        set.for_each_masked(&mask, |set, position| {
+        set.for_each_masked(mask, |set, position| {
             seen.push(position);
             // Setting a *lower* bit of an already-visited word must not
             // extend this pass.
@@ -260,23 +297,42 @@ mod tests {
             true
         });
         assert_eq!(seen, vec![1, 64, 128]);
-        let empty_mask = ReadySet::mask_of(130, [2usize]);
+        let empty_mask = SlotSet::single(2);
         assert!(!set.intersects(&empty_mask));
     }
 
     #[test]
     fn masked_iteration_stops_when_the_callback_says_so() {
-        let mut set = ReadySet::new(8);
-        let mask = ReadySet::mask_of(8, 0..8);
+        let mut set = identity(8);
+        let mask: SlotSet = (0..8).collect();
         for position in 0..8 {
             set.schedule(position, Cycle::ZERO);
         }
         set.sync(Cycle::ZERO);
         let mut count = 0;
-        set.for_each_masked(&mask, |_, _| {
+        set.for_each_masked(mask, |_, _| {
             count += 1;
             count < 3
         });
         assert_eq!(count, 3);
+    }
+
+    #[test]
+    fn slot_layout_follows_the_slot_map() {
+        // Position 0 holds the master with the highest id: slot 2.
+        let mut set = ReadySet::new(vec![2, 0, 1]);
+        set.schedule(0, Cycle::ZERO);
+        set.schedule(2, Cycle::new(5));
+        set.sync(Cycle::new(5));
+        assert_eq!(set.slots().iter().collect::<Vec<_>>(), vec![1, 2]);
+        let mut visited = Vec::new();
+        set.for_each_masked((0..3).collect(), |_, position| {
+            visited.push(position);
+            true
+        });
+        assert_eq!(visited, vec![0, 2], "the absorption order is by position");
+        set.clear(0);
+        assert_eq!(set.slots(), SlotSet::single(1));
+        assert!(!set.contains(0) && set.contains(2));
     }
 }

@@ -75,7 +75,9 @@ pub mod qos;
 pub mod signal;
 pub mod txn;
 
-pub use arbitration::{ArbiterConfig, ArbitrationFilter, ArbitrationPolicy, RequestView};
+pub use arbitration::{
+    ArbiterConfig, ArbitrationFilter, ArbitrationPolicy, RequestSet, SampledRequests, SlotSet,
+};
 pub use bi::{AccessPermission, BankHint, NextTransactionInfo};
 pub use bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats, WindowMap};
 pub use burst::{BurstKind, BurstSequence};

@@ -1,13 +1,15 @@
 //! Micro-benchmarks of the transaction-level hot path's building blocks:
 //! pooled versus cloned transaction flow through an arbiter-shaped
-//! consumer, and the DDR controller's per-access cost. These quantify why
+//! consumer, the DDR controller's per-access cost, and one arbitration
+//! decision as the number of waiting requesters grows. These quantify why
 //! the transaction-level model is fast (no per-transaction allocation, a
-//! handful of controller calls per transaction).
+//! handful of controller calls per transaction, a filter chain whose cost
+//! does not grow with the number of waiting masters).
 
 use amba::ids::Addr;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ddrc::{DdrConfig, DdrController};
-use simkern::time::Cycle;
+use simkern::time::{Cycle, CycleDelta};
 use std::hint::black_box;
 
 /// Pooled (arena handle) versus cloned transaction flow: the per-round cost
@@ -97,5 +99,71 @@ fn bench_ddr_controller(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_txn_pool_vs_clone, bench_ddr_controller);
+/// One arbitration decision with 2, 5, 16 and 64 masters of the `many`
+/// pattern's mix waiting, and 65: all 64 plus the write buffer, as on
+/// `many-64`. Every master keeps a request pending; the winner re-requests
+/// at the decision cycle, so waits (and QoS urgency) stay bounded as they
+/// are on a busy bus. Bank readiness comes from a DDR controller with one
+/// row open per bank.
+fn bench_arbitration(c: &mut Criterion) {
+    use amba::arbitration::{ArbiterConfig, ArbitrationPolicy, SampledRequests};
+    use amba::ids::MasterId;
+    use amba::qos::QosConfig;
+
+    let mut ddr = DdrController::new(DdrConfig::ahb_plus());
+    for bank in 0..8u32 {
+        let addr = Addr::new(0x2000_0000 + bank * 2048);
+        ddr.access(Cycle::new(u64::from(bank) * 20), addr, false, 4);
+    }
+    let buffer = MasterId::new(15);
+    let buffer_addr = Addr::new(0x2000_0800);
+    let mut group = c.benchmark_group("kernel/arbitration");
+    group.sample_size(20);
+    for requesters in [2usize, 5, 16, 64, 65] {
+        let pattern = traffic::pattern_many(requesters.min(64));
+        let mut policy = ArbitrationPolicy::new(ArbiterConfig::ahb_plus());
+        for (id, profile) in &pattern.masters {
+            policy.program_qos(*id, profile.qos_config());
+        }
+        policy.program_qos(buffer, QosConfig::non_real_time(u8::MAX));
+        let buffer_slot = policy.slot(buffer).expect("programmed");
+        let mut addrs = vec![buffer_addr; policy.slots()];
+        let mut sampled = SampledRequests::new();
+        for (id, profile) in &pattern.masters {
+            let slot = policy.slot(*id).expect("programmed");
+            addrs[slot] = profile.region_base;
+            sampled.push(slot, Cycle::ZERO, profile.region_base);
+        }
+        let with_buffer = requesters > 64;
+        if with_buffer {
+            sampled.push_write_buffer(buffer_slot, Cycle::ZERO, buffer_addr, 1);
+        }
+        group.bench_function(requesters.to_string(), |b| {
+            let mut policy = policy.clone();
+            let mut sampled = sampled.clone();
+            let mut now = Cycle::ZERO;
+            b.iter(|| {
+                let requests = sampled.at(now, |addr| ddr.is_addr_ready(now, addr));
+                let winner = policy.decide(&requests).expect("someone requests").master;
+                policy.record_grant(winner);
+                let slot = policy.slot(winner).expect("programmed");
+                if slot == buffer_slot {
+                    sampled.push_write_buffer(slot, now, buffer_addr, 1);
+                } else {
+                    sampled.push(slot, now, addrs[slot]);
+                }
+                now += CycleDelta::new(4);
+                winner
+            });
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_txn_pool_vs_clone,
+    bench_ddr_controller,
+    bench_arbitration
+);
 criterion_main!(benches);

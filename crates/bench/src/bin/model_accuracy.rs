@@ -14,6 +14,7 @@
 //! functional results breaks the build, not just a dashboard.
 
 use ahbplus::measure_accuracy_record;
+use ahbplus::registry::MODELS;
 
 fn main() {
     let mut output_path = "BENCH_accuracy.json".to_owned();
@@ -48,8 +49,10 @@ fn main() {
     for comparison in &record.comparisons {
         println!("{}", comparison.format_table());
     }
+    // The model columns are as wide as the longest registered model name.
+    let width = MODELS.iter().map(|spec| spec.id.len()).max().unwrap_or(0);
     println!(
-        "{:<10} {:<10} {:>9} {:>13} {:>15} {:>14} {:>14} {:>15}",
+        "{:<width$} {:<width$} {:>9} {:>13} {:>15} {:>14} {:>14} {:>15}",
         "reference",
         "candidate",
         "scenarios",
@@ -61,7 +64,7 @@ fn main() {
     );
     for summary in record.summaries() {
         println!(
-            "{:<10} {:<10} {:>9} {:>13} {:>14.2}% {:>13.2}% {:>13.2}% {:>14.2}%",
+            "{:<width$} {:<width$} {:>9} {:>13} {:>14.2}% {:>13.2}% {:>13.2}% {:>14.2}%",
             summary.reference,
             summary.candidate,
             summary.scenarios,

@@ -272,7 +272,7 @@ impl DdrController {
     }
 
     /// Returns `true` if an access to `addr` at `now` would find its bank
-    /// ready (used to fill [`amba::arbitration::RequestView::bank_ready`]).
+    /// ready (used to fill [`amba::arbitration::RequestSet::bank_ready`]).
     #[must_use]
     pub fn is_addr_ready(&self, now: Cycle, addr: Addr) -> bool {
         let decoded = self.decode(addr);

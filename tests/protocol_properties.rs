@@ -1,7 +1,7 @@
 //! Property-based tests over the protocol vocabulary, the burst arithmetic,
 //! the DRAM bank FSM invariants and the workload generator.
 
-use amba::arbitration::{ArbiterConfig, ArbitrationPolicy, RequestView};
+use amba::arbitration::{ArbiterConfig, ArbitrationPolicy, SampledRequests};
 use amba::burst::{BurstKind, BurstSequence};
 use amba::check::validate_transaction;
 use amba::ids::{Addr, MasterId};
@@ -149,21 +149,26 @@ proptest! {
         priorities in prop::collection::vec(0u8..16, 1..6),
         urgent_index in 0usize..6,
     ) {
-        let policy = ArbitrationPolicy::new(ArbiterConfig::ahb_plus());
-        let mut requests: Vec<RequestView> = priorities
-            .iter()
-            .enumerate()
-            .map(|(i, p)| RequestView::new(MasterId::new(i as u8), QosConfig::non_real_time(*p), 5))
-            .collect();
-        let decision = policy.decide(&requests).expect("someone must win");
-        prop_assert!(requests.iter().any(|r| r.master == decision.master));
+        let mut policy = ArbitrationPolicy::new(ArbiterConfig::ahb_plus());
+        let masters: Vec<MasterId> = (0..priorities.len() as u8).map(MasterId::new).collect();
+        for (master, priority) in masters.iter().zip(&priorities) {
+            policy.program_qos(*master, QosConfig::non_real_time(*priority));
+        }
+        let mut requests = SampledRequests::new();
+        for (slot, _) in masters.iter().enumerate() {
+            requests.push(slot, Cycle::new(0), Addr::new(0x2000_0000));
+        }
+        let now = Cycle::new(5);
+        let decision = policy.decide(&requests.at(now, |_| false)).expect("someone must win");
+        prop_assert!(masters.contains(&decision.master));
 
         // Make one master urgent real-time; it must win.
-        if urgent_index < requests.len() {
-            requests[urgent_index].qos = QosConfig::real_time(10, 15);
-            requests[urgent_index].waited = 100;
-            let decision = policy.decide(&requests).expect("someone must win");
-            prop_assert_eq!(decision.master, requests[urgent_index].master);
+        if urgent_index < masters.len() {
+            policy.program_qos(masters[urgent_index], QosConfig::real_time(10, 15));
+            let decision = policy
+                .decide(&requests.at(Cycle::new(100), |_| false))
+                .expect("someone must win");
+            prop_assert_eq!(decision.master, masters[urgent_index]);
         }
     }
 }
