@@ -35,7 +35,22 @@
 //! Profiles build from an in-memory log ([`Profile::from_log`]) or
 //! stream event-by-event through a [`ProfileBuilder`] (fed from a
 //! `.ahbt` [`crate::tracebin::TraceReader`]), keeping memory
-//! proportional to the transaction count, not the event count.
+//! proportional to the transaction count, not the event count. The
+//! builder keeps its per-master and per-shard groups in tables indexed
+//! by id (ids are `u16`, so a table never exceeds 65,536 entries) and
+//! its timeline in a vector indexed by window, so an event's group and
+//! window cost an index, not a hash.
+//!
+//! The timeline holds at most [`MAX_TIMELINE_WINDOWS`] windows. When an
+//! event lands past the last of them, the builder doubles the window and
+//! folds adjacent windows pairwise. The fold is exact, because the
+//! boundaries of the doubled windows are boundaries of the old ones, and
+//! it repeats until the event fits. The built [`Profile`] reports the
+//! window it ended with in [`Profile::options`]. A timeline far below the
+//! cap is untouched: `many-64` spans about 3.4 M cycles, 829 windows of
+//! the default 4,096. The cap bounds what a hostile trace can cost: a
+//! span ending near `u64::MAX` walks and allocates at most 65,536
+//! windows instead of about 2^52.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -323,7 +338,9 @@ impl UtilizationWindow {
 /// Tuning knobs of a profile build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileOptions {
-    /// Utilization-timeline window length in cycles.
+    /// Utilization-timeline window length in cycles (0 counts as 1). The
+    /// builder doubles it as often as the timeline needs to stay within
+    /// [`MAX_TIMELINE_WINDOWS`].
     pub window: u64,
     /// How many slowest transactions to keep with full breakdowns.
     pub top_k: usize,
@@ -338,11 +355,40 @@ impl Default for ProfileOptions {
     }
 }
 
+/// The most windows a utilization timeline holds (see the module docs).
+pub const MAX_TIMELINE_WINDOWS: usize = 1 << 16;
+
 #[derive(Debug, Default)]
 struct GroupSamples {
     latencies: Vec<u64>,
     bytes: u64,
     components: ComponentTotals,
+}
+
+/// Sample groups indexed by master or shard id; `None` marks an id no
+/// event has touched.
+#[derive(Debug, Default)]
+struct GroupTable(Vec<Option<GroupSamples>>);
+
+impl GroupTable {
+    fn get(&mut self, id: u16) -> &mut GroupSamples {
+        let index = usize::from(id);
+        if index >= self.0.len() {
+            self.0.resize_with(index + 1, || None);
+        }
+        self.0[index].get_or_insert_with(GroupSamples::default)
+    }
+
+    /// The touched groups as profiles, in id order.
+    fn profiles(&mut self) -> Vec<GroupProfile> {
+        self.0
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(index, slot)| {
+                Some(GroupProfile::from_samples(index as u16, slot.as_mut()?))
+            })
+            .collect()
+    }
 }
 
 /// Streaming profile accumulator: feed events in any order via
@@ -352,8 +398,8 @@ struct GroupSamples {
 #[derive(Debug, Default)]
 pub struct ProfileBuilder {
     options: ProfileOptions,
-    masters: HashMap<u16, GroupSamples>,
-    shards: HashMap<u16, GroupSamples>,
+    masters: GroupTable,
+    shards: GroupTable,
     overall: GroupSamples,
     /// Absorption cycle per (master, id), consumed by the drain.
     absorbed_at: HashMap<(u16, u64), u64>,
@@ -364,8 +410,9 @@ pub struct ProfileBuilder {
     /// closing span is a round trip. The response event always sorts
     /// before its span (same cycle, lower sequence number).
     responded: HashSet<(u16, u64)>,
-    /// Busy cycles per timeline window index.
-    busy: HashMap<u64, u64>,
+    /// Busy cycles per timeline window index, at most
+    /// [`MAX_TIMELINE_WINDOWS`] of them.
+    busy: Vec<u64>,
     slowest: Vec<TxnBreakdown>,
     max_cycle: u64,
     events: u64,
@@ -377,22 +424,44 @@ impl ProfileBuilder {
     #[must_use]
     pub fn new(options: ProfileOptions) -> ProfileBuilder {
         ProfileBuilder {
-            options,
+            options: ProfileOptions {
+                window: options.window.max(1),
+                ..options
+            },
             ..ProfileBuilder::default()
         }
     }
 
+    /// Doubles the window until `cycle` falls inside the capped timeline,
+    /// folding adjacent windows pairwise at each step.
+    fn fit(&mut self, cycle: u64) {
+        while cycle / self.options.window >= MAX_TIMELINE_WINDOWS as u64 {
+            self.options.window *= 2;
+            let folded = self.busy.len().div_ceil(2);
+            for index in 0..folded {
+                self.busy[index] =
+                    self.busy[2 * index] + self.busy.get(2 * index + 1).copied().unwrap_or(0);
+            }
+            self.busy.truncate(folded);
+        }
+    }
+
+    /// Adds the busy cycles `[from, to)`; `to` must not exceed the
+    /// largest cycle passed to [`Self::fit`].
     fn add_busy(&mut self, from: u64, to: u64) {
-        if to <= from || self.options.window == 0 {
+        if to <= from {
             return;
         }
         let window = self.options.window;
+        let last = ((to - 1) / window) as usize;
+        if last >= self.busy.len() {
+            self.busy.resize(last + 1, 0);
+        }
         let mut cursor = from;
         while cursor < to {
             let index = cursor / window;
-            let window_end = (index + 1) * window;
-            let slice_end = to.min(window_end);
-            *self.busy.entry(index).or_insert(0) += slice_end - cursor;
+            let slice_end = to.min((index + 1).saturating_mul(window));
+            self.busy[index as usize] += slice_end - cursor;
             cursor = slice_end;
         }
     }
@@ -400,8 +469,8 @@ impl ProfileBuilder {
     fn record_txn(&mut self, txn: TxnBreakdown) {
         let latency = txn.latency();
         for samples in [
-            self.masters.entry(txn.master).or_default(),
-            self.shards.entry(txn.shard).or_default(),
+            self.masters.get(txn.master),
+            self.shards.get(txn.shard),
             &mut self.overall,
         ] {
             samples.latencies.push(latency);
@@ -425,7 +494,10 @@ impl ProfileBuilder {
     /// spans.
     pub fn add(&mut self, event: &TraceEvent) {
         self.events += 1;
-        self.max_cycle = self.max_cycle.max(event.cycle);
+        if event.cycle > self.max_cycle {
+            self.max_cycle = event.cycle;
+            self.fit(event.cycle);
+        }
         let key = (event.master, event.id);
         match event.kind {
             TraceEventKind::Span => {
@@ -476,8 +548,8 @@ impl ProfileBuilder {
                 if let Some(absorbed) = self.absorbed_at.remove(&key) {
                     let residency = event.cycle.saturating_sub(absorbed);
                     for samples in [
-                        self.masters.entry(event.master).or_default(),
-                        self.shards.entry(event.shard).or_default(),
+                        self.masters.get(event.master),
+                        self.shards.get(event.shard),
                         &mut self.overall,
                     ] {
                         samples.components.write_buffer_residency += residency;
@@ -499,8 +571,8 @@ impl ProfileBuilder {
                         let issued = pending.remove(0);
                         let wait = event.cycle.saturating_sub(issued);
                         for samples in [
-                            self.masters.entry(event.master).or_default(),
-                            self.shards.entry(event.shard).or_default(),
+                            self.masters.get(event.master),
+                            self.shards.get(event.shard),
                             &mut self.overall,
                         ] {
                             samples.components.bridge_queueing += wait;
@@ -518,23 +590,15 @@ impl ProfileBuilder {
     /// renders the utilization timeline.
     #[must_use]
     pub fn finish(mut self) -> Profile {
-        let mut masters: Vec<GroupProfile> = self
-            .masters
-            .iter_mut()
-            .map(|(key, samples)| GroupProfile::from_samples(*key, samples))
-            .collect();
-        masters.sort_by_key(|g| g.key);
-        let mut shards: Vec<GroupProfile> = self
-            .shards
-            .iter_mut()
-            .filter(|(key, _)| **key != SCHEDULER_SHARD)
-            .map(|(key, samples)| GroupProfile::from_samples(*key, samples))
-            .collect();
-        shards.sort_by_key(|g| g.key);
+        let masters = self.masters.profiles();
+        let mut shards = self.shards.profiles();
+        shards.retain(|g| g.key != SCHEDULER_SHARD);
         let overall = GroupProfile::from_samples(0, &mut self.overall);
         let shard_count = shards.len().max(1) as u64;
-        let window = self.options.window.max(1);
-        let windows = if self.max_cycle == 0 && self.busy.is_empty() {
+        let window = self.options.window;
+        // Busy cycles end at or before `max_cycle`, so no busy window
+        // lies past it; an empty or all-zero-cycle log has no timeline.
+        let windows = if self.max_cycle == 0 {
             0
         } else {
             self.max_cycle / window + 1
@@ -542,8 +606,8 @@ impl ProfileBuilder {
         let timeline: Vec<UtilizationWindow> = (0..windows)
             .map(|index| UtilizationWindow {
                 start: index * window,
-                busy: self.busy.get(&index).copied().unwrap_or(0),
-                capacity: window * shard_count,
+                busy: self.busy.get(index as usize).copied().unwrap_or(0),
+                capacity: window.saturating_mul(shard_count),
             })
             .collect();
         Profile {
@@ -562,7 +626,9 @@ impl ProfileBuilder {
 /// The attribution report of one trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
-    /// The options the profile was built with.
+    /// The options the profile was built with, except that `window` is
+    /// the window the timeline ended with: the requested one, doubled as
+    /// often as [`MAX_TIMELINE_WINDOWS`] required.
     pub options: ProfileOptions,
     /// Per-master groups, ordered by master id.
     pub masters: Vec<GroupProfile>,
@@ -1064,6 +1130,75 @@ mod tests {
         assert_eq!(profile.timeline[1].busy, 10);
         assert_eq!(profile.timeline[0].capacity, 100);
         assert!(profile.peak_utilization() > 0.0);
+    }
+
+    #[test]
+    fn timeline_folds_exactly_past_the_window_cap() {
+        // Spans out to about 3 × the cap in 1-cycle windows: the builder
+        // must double twice, to 4-cycle windows.
+        let cap = MAX_TIMELINE_WINDOWS as u64;
+        let mut tracer = Tracer::disabled();
+        tracer.set_enabled(true);
+        let mut busy_total = 0;
+        for i in 0..600u64 {
+            let grant = i * 331 + i % 7;
+            let end = grant + 1 + (i * 13) % 900;
+            busy_total += end - grant;
+            tracer.span(0, i, grant.saturating_sub(3), grant, end, 8, 0);
+        }
+        tracer.drain(0, 600, 3 * cap - 50, 3 * cap - 2);
+        busy_total += 48;
+        let log = tracer.take();
+        let folded = Profile::from_log(
+            &log,
+            ProfileOptions {
+                window: 1,
+                ..ProfileOptions::default()
+            },
+        );
+        let direct = Profile::from_log(
+            &log,
+            ProfileOptions {
+                window: 4,
+                ..ProfileOptions::default()
+            },
+        );
+        assert_eq!(folded.options.window, 4, "doubled from 1 until it fits");
+        assert_eq!(folded.timeline, direct.timeline);
+        assert!(folded.timeline.len() <= MAX_TIMELINE_WINDOWS);
+        let busy: u64 = folded.timeline.iter().map(|w| w.busy).sum();
+        assert_eq!(busy, busy_total);
+    }
+
+    #[test]
+    fn spans_ending_at_the_last_cycle_profile_in_bounded_time() {
+        let started = std::time::Instant::now();
+        let mut single = Tracer::disabled();
+        single.set_enabled(true);
+        single.span(0, 1, 0, 0, u64::MAX, 8, 0);
+        let profile = Profile::from_log(&single.take(), ProfileOptions::default());
+        assert_eq!(profile.timeline.len(), MAX_TIMELINE_WINDOWS);
+        let busy: u64 = profile.timeline.iter().map(|w| w.busy).sum();
+        assert_eq!(busy, u64::MAX);
+        assert_eq!(profile.overall.components.span_total(), u64::MAX);
+
+        let mut tail = Tracer::disabled();
+        tail.set_enabled(true);
+        tail.span(0, 1, 90, 95, 100, 8, FLAG_ROW_HIT);
+        let last = u64::MAX;
+        for id in 2..10 {
+            tail.span(1, id, last - 20, last - 10, last, 8, FLAG_ROW_HIT);
+        }
+        let profile = Profile::from_log(&tail.take(), ProfileOptions::default());
+        assert!(profile.timeline.len() <= MAX_TIMELINE_WINDOWS);
+        let busy: u64 = profile.timeline.iter().map(|w| w.busy).sum();
+        assert_eq!(busy, 5 + 8 * 10);
+        assert_eq!(profile.overall.count, 9);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

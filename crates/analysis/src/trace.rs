@@ -24,7 +24,12 @@
 //! (via `BusModel::take_trace`). Multi-shard platforms merge per-shard
 //! logs in `(cycle, shard, seq)` order ([`TraceLog::merge`]); the
 //! result exports to Chrome-trace/Perfetto JSON
-//! ([`TraceLog::to_perfetto_json`]) or compact JSON-lines. Latency
+//! ([`TraceLog::to_perfetto_json`]) or compact JSON-lines. One function
+//! renders the JSON-lines event format, [`TraceEvent::write_json_fields`]:
+//! a hand-rolled decimal writer that appends to a byte buffer without
+//! allocating or calling into `fmt`. [`TraceEvent::to_json_line`],
+//! [`TraceLog::to_json_lines`] and the `campaign serve` event stream are
+//! all built on it, so they cannot drift apart. Latency
 //! distributions and their attribution are computed from the stream by
 //! [`crate::profile`].
 
@@ -176,25 +181,48 @@ impl TraceEvent {
         self.cycle.saturating_sub(self.start)
     }
 
+    /// Appends the event's fields to `out` as the body of its canonical
+    /// JSON object, without the surrounding braces: `"cycle": 20,
+    /// "shard": 0, ..., "flags": 0`. Field order and formatting are
+    /// stable: byte equality of rendered streams is the determinism
+    /// contract.
+    ///
+    /// This is the one renderer of the event format. [`Self::to_json_line`],
+    /// [`TraceLog::to_json_lines`] and the served event stream all call
+    /// it. It writes the decimal digits itself, so it allocates nothing
+    /// beyond growing `out` and makes no `fmt` call.
+    pub fn write_json_fields(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"\"cycle\": ");
+        write_decimal(out, self.cycle);
+        out.extend_from_slice(b", \"shard\": ");
+        write_decimal(out, u64::from(self.shard));
+        out.extend_from_slice(b", \"seq\": ");
+        write_decimal(out, u64::from(self.seq));
+        out.extend_from_slice(b", \"kind\": \"");
+        out.extend_from_slice(self.kind.id().as_bytes());
+        out.extend_from_slice(b"\", \"master\": ");
+        write_decimal(out, u64::from(self.master));
+        out.extend_from_slice(b", \"id\": ");
+        write_decimal(out, self.id);
+        out.extend_from_slice(b", \"start\": ");
+        write_decimal(out, self.start);
+        out.extend_from_slice(b", \"grant\": ");
+        write_decimal(out, self.grant);
+        out.extend_from_slice(b", \"bytes\": ");
+        write_decimal(out, u64::from(self.bytes));
+        out.extend_from_slice(b", \"flags\": ");
+        write_decimal(out, u64::from(self.flags));
+    }
+
     /// Renders the event as one canonical JSON line (no trailing
-    /// newline). Field order and formatting are stable: byte equality
-    /// of rendered streams is the determinism contract.
+    /// newline), through [`Self::write_json_fields`].
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"cycle\": {}, \"shard\": {}, \"seq\": {}, \"kind\": \"{}\", \"master\": {}, \
-             \"id\": {}, \"start\": {}, \"grant\": {}, \"bytes\": {}, \"flags\": {}}}",
-            self.cycle,
-            self.shard,
-            self.seq,
-            self.kind.id(),
-            self.master,
-            self.id,
-            self.start,
-            self.grant,
-            self.bytes,
-            self.flags
-        )
+        let mut out = Vec::with_capacity(MAX_JSON_LINE_BYTES);
+        out.push(b'{');
+        self.write_json_fields(&mut out);
+        out.push(b'}');
+        ascii_string(out)
     }
 
     /// Parses one canonical JSON line (the [`TraceEvent::to_json_line`]
@@ -278,6 +306,34 @@ impl TraceEvent {
             kind: kind.ok_or_else(|| "missing field 'kind'".to_owned())?,
         })
     }
+}
+
+/// An upper bound on one rendered event line, newline included. The
+/// longest line, every integer field at its type's maximum and the
+/// longest kind name, takes 236 bytes; a served line adds an 18-byte
+/// discriminator. A buffer with this much room left always takes one more
+/// line without growing.
+pub const MAX_JSON_LINE_BYTES: usize = 256;
+
+/// Appends the decimal digits of `value` to `out`.
+fn write_decimal(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// The rendered event text as a `String`. The renderer writes only ASCII,
+/// so the conversion cannot fail.
+fn ascii_string(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("trace JSON is ASCII")
 }
 
 /// The header counters of a [`TraceLog`] (the counter block of the
@@ -658,12 +714,13 @@ impl TraceLog {
     /// determinism contract the scheduler-mode tests assert.
     #[must_use]
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
+        let mut out = Vec::with_capacity(self.events.len() * 160);
         for event in &self.events {
-            out.push_str(&event.to_json_line());
-            out.push('\n');
+            out.push(b'{');
+            event.write_json_fields(&mut out);
+            out.extend_from_slice(b"}\n");
         }
-        out
+        ascii_string(out)
     }
 
     /// Renders the stream as Chrome-trace / Perfetto JSON (the
@@ -742,6 +799,7 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn span_at(cycle: u64, master: u16, id: u64) -> TraceEvent {
         TraceEvent {
@@ -868,6 +926,106 @@ mod tests {
             "{\"cycle\": 20, \"shard\": 0, \"seq\": 0, \"kind\": \"span\", \"master\": 1, \
              \"id\": 7, \"start\": 10, \"grant\": 12, \"bytes\": 32, \"flags\": 0}\n"
         );
+    }
+
+    /// The event format rendered with `format!`: the oracle
+    /// [`TraceEvent::write_json_fields`] must match byte for byte.
+    fn format_oracle(event: &TraceEvent) -> String {
+        format!(
+            "{{\"cycle\": {}, \"shard\": {}, \"seq\": {}, \"kind\": \"{}\", \"master\": {}, \
+             \"id\": {}, \"start\": {}, \"grant\": {}, \"bytes\": {}, \"flags\": {}}}",
+            event.cycle,
+            event.shard,
+            event.seq,
+            event.kind.id(),
+            event.master,
+            event.id,
+            event.start,
+            event.grant,
+            event.bytes,
+            event.flags
+        )
+    }
+
+    const KINDS: [TraceEventKind; 8] = [
+        TraceEventKind::Span,
+        TraceEventKind::Absorb,
+        TraceEventKind::Drain,
+        TraceEventKind::BridgeEgress,
+        TraceEventKind::BridgeReplay,
+        TraceEventKind::BridgeResponse,
+        TraceEventKind::Barrier,
+        TraceEventKind::Stretch,
+    ];
+
+    /// A field value: zero, a small number, the type's maximum, or any
+    /// value of the type.
+    fn field(max: u64) -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(0u64),
+            1u64..1_000,
+            Just(max),
+            any::<u64>().prop_map(move |v| v & max),
+        ]
+    }
+
+    proptest! {
+        /// The writer renders every kind exactly as the `format!` oracle
+        /// did, and `from_json_line` inverts it.
+        #[test]
+        fn json_writer_matches_the_format_oracle_and_parses_back(
+            cycle in field(u64::MAX),
+            start in field(u64::MAX),
+            grant in field(u64::MAX),
+            shard in field(u64::from(u16::MAX)),
+            seq in field(u64::from(u32::MAX)),
+            master in field(u64::from(u16::MAX)),
+            id in field(u64::MAX),
+            bytes in field(u64::from(u32::MAX)),
+            flags in field(u64::from(u8::MAX)),
+        ) {
+            for kind in KINDS {
+                let event = TraceEvent {
+                    cycle,
+                    start,
+                    grant,
+                    shard: shard as u16,
+                    seq: seq as u32,
+                    master: master as u16,
+                    id,
+                    bytes: bytes as u32,
+                    flags: flags as u8,
+                    kind,
+                };
+                let line = event.to_json_line();
+                prop_assert_eq!(&line, &format_oracle(&event));
+                prop_assert!(line.len() < MAX_JSON_LINE_BYTES, "{line}");
+                prop_assert_eq!(TraceEvent::from_json_line(&line), Ok(event));
+            }
+        }
+    }
+
+    #[test]
+    fn the_longest_line_fits_the_advertised_bound() {
+        let widest = TraceEvent {
+            cycle: u64::MAX,
+            start: u64::MAX,
+            grant: u64::MAX,
+            shard: u16::MAX,
+            seq: u32::MAX,
+            master: u16::MAX,
+            id: u64::MAX,
+            bytes: u32::MAX,
+            flags: u8::MAX,
+            kind: TraceEventKind::BridgeResponse,
+        };
+        let lines = TraceLog {
+            events: vec![widest],
+            counters: TraceCounters::default(),
+        }
+        .to_json_lines();
+        assert_eq!(lines, format!("{}\n", format_oracle(&widest)));
+        assert!(lines.len() <= MAX_JSON_LINE_BYTES, "{} bytes", lines.len());
     }
 
     #[test]

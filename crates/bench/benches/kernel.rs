@@ -5,6 +5,11 @@
 //! the transaction-level model is fast (no per-transaction allocation, a
 //! handful of controller calls per transaction, a filter chain whose cost
 //! does not grow with the number of waiting masters).
+//!
+//! Two more measure what a traced `campaign serve` request pays after its
+//! run, on the log of one such request: rendering the events as JSON
+//! lines (`trace/json_lines`) and building their latency profile
+//! (`profile/from_log`).
 
 use amba::ids::Addr;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -160,10 +165,36 @@ fn bench_arbitration(c: &mut Criterion) {
     group.finish();
 }
 
+/// The trace log of a traced `tlm` run of `table2-speed` at 1,000
+/// transactions per master: the size `perfbench`'s `serve-traced` requests.
+fn serve_sized_trace() -> analysis::trace::TraceLog {
+    let spec = ahbplus::scenario("table2-speed").expect("catalogued");
+    let config = spec.resolve().expect("catalogue scenario resolves");
+    let mut model = ahbplus::lookup("tlm").expect("registered").build(&config);
+    model.set_tracing(true);
+    model.run();
+    model.take_trace().expect("tlm traces")
+}
+
+fn bench_trace_rendering(c: &mut Criterion) {
+    use analysis::profile::{Profile, ProfileOptions};
+
+    let log = serve_sized_trace();
+    c.bench_function("trace/json_lines", |b| b.iter(|| log.to_json_lines().len()));
+    c.bench_function("profile/from_log", |b| {
+        b.iter(|| {
+            Profile::from_log(&log, ProfileOptions::default())
+                .overall
+                .count
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_txn_pool_vs_clone,
     bench_ddr_controller,
-    bench_arbitration
+    bench_arbitration,
+    bench_trace_rendering
 );
 criterion_main!(benches);

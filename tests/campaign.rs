@@ -360,3 +360,58 @@ fn serve_mode_streams_traces_and_live_metrics() {
 
     handle.join().unwrap().expect("serve loop exits cleanly");
 }
+
+/// A traced `/run` large enough that its event lines span several 64 KiB
+/// socket writes streams exactly the lines a direct run of the same
+/// scenario and seed renders, each with the ndjson discriminator spliced
+/// in front, and its report counts them.
+#[test]
+fn served_trace_lines_match_a_direct_run_across_write_chunks() {
+    use ahbplus::Canonical;
+    let server = CampaignServer::bind("127.0.0.1:0").expect("ephemeral port binds");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve(1, Some(1)));
+
+    let spec = scenario("table2-speed").unwrap().with_transactions(300);
+    let body = format!(
+        "{{\"scenario\": {}, \"model\": \"tlm\", \"trace\": true}}",
+        spec.to_canon().to_canonical_json()
+    );
+    let run = http_roundtrip(
+        &addr,
+        &format!(
+            "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    handle.join().unwrap().expect("serve loop exits cleanly");
+    assert!(run.starts_with("HTTP/1.1 200"), "{run:.300}");
+    let served: Vec<&str> = run
+        .lines()
+        .filter(|line| line.starts_with("{\"event\": \"trace\", "))
+        .collect();
+
+    let mut model = lookup("tlm")
+        .unwrap()
+        .build(&spec.resolve().expect("catalogue scenario resolves"));
+    model.set_tracing(true);
+    model.run();
+    let direct = model.take_trace().expect("tlm traces").to_json_lines();
+    let expected: Vec<String> = direct
+        .lines()
+        .map(|line| format!("{{\"event\": \"trace\", {}", &line[1..]))
+        .collect();
+    assert!(
+        direct.len() > 3 * 64 * 1024,
+        "the stream must cross several write chunks: {} bytes",
+        direct.len()
+    );
+    assert_eq!(served.len(), expected.len());
+    for (i, (served, expected)) in served.iter().zip(&expected).enumerate() {
+        assert_eq!(served, expected, "trace line {i}");
+    }
+    assert!(
+        run.contains(&format!("\"trace_events\": {},", served.len())),
+        "report counts the streamed events"
+    );
+}
